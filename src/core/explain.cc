@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json.h"
 #include "util/table.h"
 
 namespace traceweaver {
@@ -16,16 +17,6 @@ std::string Num(double v) {
 
 std::string Id(SpanId id) {
   return id == kInvalidSpanId ? std::string("-") : std::to_string(id);
-}
-
-std::string JsonStr(const std::string& s) {
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  out += '"';
-  return out;
 }
 
 std::string ChildrenList(const ExplainCandidate& c) {
@@ -114,9 +105,12 @@ std::string ExplainTable(const ExplainCapture& e) {
 std::string ExplainJson(const ExplainCapture& e) {
   std::string out = "{\"schema\":\"traceweaver.explain.v1\",";
   out += "\"found\":" + std::string(e.found ? "true" : "false") + ",";
-  out += "\"parent\":" + JsonStr(Id(e.parent)) + ",";
-  out += "\"service\":" + JsonStr(e.service) + ",";
-  out += "\"endpoint\":" + JsonStr(e.endpoint) + ",";
+  json::AppendStrField(out, "parent", Id(e.parent));
+  out += ',';
+  json::AppendStrField(out, "service", e.service);
+  out += ',';
+  json::AppendStrField(out, "endpoint", e.endpoint);
+  out += ',';
   out += "\"candidates_enumerated\":" + std::to_string(e.candidates_enumerated) + ",";
   out += "\"batch\":" + std::to_string(e.batch) + ",";
   out += "\"batch_size\":" + std::to_string(e.batch_size) + ",";
@@ -133,9 +127,9 @@ std::string ExplainJson(const ExplainCapture& e) {
     out += "\"children\":[";
     for (std::size_t j = 0; j < c.children.size(); ++j) {
       if (j > 0) out += ',';
-      out += JsonStr(c.children[j] == kSkippedChild
-                         ? std::string("skip")
-                         : std::to_string(c.children[j]));
+      json::AppendStr(out, c.children[j] == kSkippedChild
+                               ? std::string("skip")
+                               : std::to_string(c.children[j]));
     }
     out += "],\"breakdown\":{\"positions\":[";
     const ScoreBreakdown& b = c.breakdown;
@@ -144,10 +138,13 @@ std::string ExplainJson(const ExplainCapture& e) {
       if (j > 0) out += ',';
       out += "{\"stage\":" + std::to_string(p.stage) + ",";
       out += "\"call\":" + std::to_string(p.call) + ",";
-      out += "\"service\":" + JsonStr(p.service) + ",";
-      out += "\"endpoint\":" + JsonStr(p.endpoint) + ",";
-      out += "\"child\":" + JsonStr(p.skipped ? std::string("skip")
-                                              : std::to_string(p.child)) + ",";
+      json::AppendStrField(out, "service", p.service);
+      out += ',';
+      json::AppendStrField(out, "endpoint", p.endpoint);
+      out += ',';
+      json::AppendStrField(out, "child", p.skipped ? std::string("skip")
+                                                   : std::to_string(p.child));
+      out += ',';
       out += "\"skipped\":" + std::string(p.skipped ? "true" : "false") + ",";
       out += "\"gap_ns\":" + Num(p.gap_ns) + ",";
       out += "\"timing_lp\":" + Num(p.timing_lp) + ",";
@@ -164,9 +161,13 @@ std::string ExplainJson(const ExplainCapture& e) {
   for (std::size_t i = 0; i < e.conflicts.size(); ++i) {
     const ExplainConflict& c = e.conflicts[i];
     if (i > 0) out += ',';
-    out += "{\"parent\":" + JsonStr(Id(c.parent)) + ",";
-    out += "\"service\":" + JsonStr(c.service) + ",";
-    out += "\"endpoint\":" + JsonStr(c.endpoint) + ",";
+    out += '{';
+    json::AppendStrField(out, "parent", Id(c.parent));
+    out += ',';
+    json::AppendStrField(out, "service", c.service);
+    out += ',';
+    json::AppendStrField(out, "endpoint", c.endpoint);
+    out += ',';
     out += "\"shared_children\":" + std::to_string(c.shared_children) + "}";
   }
   out += "]}\n";

@@ -38,8 +38,8 @@
 //
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
 //     full streaming state (buffer, committed assignments, late pool,
-//     graft slots, delay posteriors, watermark, ladder position) as a
-//     CRC-guarded `traceweaver.checkpoint.v1` JSONL stream
+//     graft slots, watermark, ladder position) as a CRC-guarded
+//     `traceweaver.checkpoint.v2` JSONL stream
 //     (trace/checkpoint.h), so a killed serve loop resumes within one
 //     window of where it died without losing or duplicating commitments.
 #pragma once
@@ -49,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "core/delay_model.h"
 #include "core/skew_estimator.h"
 #include "core/trace_weaver.h"
 #include "obs/pipeline_metrics.h"
@@ -140,7 +139,7 @@ class OnlineTraceWeaver {
  public:
   /// Schema tag of the checkpoint format (see trace/checkpoint.h).
   static constexpr const char* kCheckpointSchema =
-      "traceweaver.checkpoint.v1";
+      "traceweaver.checkpoint.v2";
 
   OnlineTraceWeaver(CallGraph graph, OnlineOptions options = {});
   ~OnlineTraceWeaver();
@@ -170,22 +169,6 @@ class OnlineTraceWeaver {
   int degradation_level() const { return level_; }
   TimeNs high_watermark() const { return high_watermark_; }
 
-  /// Online estimate of one delay distribution, accumulated (Welford)
-  /// from the gaps implied by committed assignments. Survives
-  /// checkpoint/restore, so drift detection can span process restarts.
-  struct DelayPosterior {
-    std::uint64_t count = 0;
-    double mean = 0.0;
-    double m2 = 0.0;  ///< Sum of squared deviations.
-
-    double Variance() const {
-      return count < 2 ? 0.0 : m2 / static_cast<double>(count - 1);
-    }
-  };
-  const std::map<DelayKey, DelayPosterior>& delay_posteriors() const {
-    return posteriors_;
-  }
-
   /// Online skew state (active when OnlineOptions::skew_correct); survives
   /// checkpoint/restore as `"ckpt":"skew"` records.
   const SkewEstimator& skew_estimator() const { return skew_estimator_; }
@@ -210,7 +193,7 @@ class OnlineTraceWeaver {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Serializes the full streaming state as `traceweaver.checkpoint.v1`
+  /// Serializes the full streaming state as `traceweaver.checkpoint.v2`
   /// JSONL with a CRC-guarded footer. `extra` carries caller scalars
   /// (e.g. the serve loop's source offset) that round-trip untouched.
   void SaveCheckpoint(
@@ -265,9 +248,6 @@ class OnlineTraceWeaver {
   void EnforceBudget();
   void ShedOldestWindow();
   bool OverBudget() const;
-  void RecordPosterior(const Span& parent, const InvocationPlan& plan,
-                       const CandidateMapping& mapping,
-                       const std::map<SpanId, const Span*>& by_id);
   void UpdateBufferGauges();
   TraceWeaver& WeaverForLevel();
 
@@ -288,7 +268,6 @@ class OnlineTraceWeaver {
   /// next Advance()/Flush() output.
   std::vector<WindowResult> pending_results_;
   std::vector<SpanId> pending_orphans_;
-  std::map<DelayKey, DelayPosterior> posteriors_;
   SkewEstimator skew_estimator_;
   Stats stats_;
   /// Cached weaver, rebuilt when the degradation level changes (avoids

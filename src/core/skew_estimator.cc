@@ -6,7 +6,7 @@
 #include <cstdlib>
 
 #include "obs/metrics.h"
-#include "trace/checkpoint.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -236,17 +236,17 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
   lines.reserve(pairs_.size());
   for (const auto& [key, stats] : pairs_) {
     std::string line = "{\"ckpt\":\"skew\",";
-    ckpt::AppendStrField(line, "caller", key.first.first);
+    json::AppendStrField(line, "caller", key.first.first);
     line += ",\"caller_replica\":" + std::to_string(key.first.second) + ",";
-    ckpt::AppendStrField(line, "callee", key.second.first);
+    json::AppendStrField(line, "callee", key.second.first);
     line += ",\"callee_replica\":" + std::to_string(key.second.second);
     line += ",\"samples\":" + std::to_string(stats.samples);
     line += ",\"inversions\":" + std::to_string(stats.inversions);
     line += ",\"offset_mean\":" + FmtF64(stats.offset_mean);
     line += ",\"offset_m2\":" + FmtF64(stats.offset_m2) + ",";
-    ckpt::AppendStrField(line, "req_gaps", JoinGaps(stats.min_request_gaps));
+    json::AppendStrField(line, "req_gaps", JoinGaps(stats.min_request_gaps));
     line += ",";
-    ckpt::AppendStrField(line, "resp_gaps",
+    json::AppendStrField(line, "resp_gaps",
                          JoinGaps(stats.min_response_gaps));
     line += "}";
     lines.push_back(std::move(line));
@@ -255,16 +255,16 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
 }
 
 bool SkewEstimator::LoadCheckpointLine(const std::string& line) {
-  const auto caller = ckpt::FieldStr(line, "caller");
-  const auto caller_replica = ckpt::FieldI64(line, "caller_replica");
-  const auto callee = ckpt::FieldStr(line, "callee");
-  const auto callee_replica = ckpt::FieldI64(line, "callee_replica");
-  const auto samples = ckpt::FieldU64(line, "samples");
-  const auto inversions = ckpt::FieldU64(line, "inversions");
-  const auto offset_mean = ckpt::FieldF64(line, "offset_mean");
-  const auto offset_m2 = ckpt::FieldF64(line, "offset_m2");
-  const auto req_gaps = ckpt::FieldStr(line, "req_gaps");
-  const auto resp_gaps = ckpt::FieldStr(line, "resp_gaps");
+  const auto caller = json::FieldStr(line, "caller");
+  const auto caller_replica = json::FieldI64(line, "caller_replica");
+  const auto callee = json::FieldStr(line, "callee");
+  const auto callee_replica = json::FieldI64(line, "callee_replica");
+  const auto samples = json::FieldU64(line, "samples");
+  const auto inversions = json::FieldU64(line, "inversions");
+  const auto offset_mean = json::FieldF64(line, "offset_mean");
+  const auto offset_m2 = json::FieldF64(line, "offset_m2");
+  const auto req_gaps = json::FieldStr(line, "req_gaps");
+  const auto resp_gaps = json::FieldStr(line, "resp_gaps");
   if (!caller || !caller_replica || !callee || !callee_replica || !samples ||
       !inversions || !offset_mean || !offset_m2 || !req_gaps || !resp_gaps) {
     return false;

@@ -232,7 +232,13 @@ bool HttpServer::Start(std::string* error) {
 }
 
 void HttpServer::Stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Cleared under the queue mutex: a worker that has just found the
+    // queue empty and is about to wait would otherwise miss the wakeup
+    // below and never exit, hanging the join.
+    std::lock_guard<std::mutex> lock(queue_mutex_);
+    if (!running_.exchange(false)) return;
+  }
   // Closing the listen socket unblocks accept(); the queue drains with
   // sentinel wakeups.
   const int fd = listen_fd_.exchange(-1);

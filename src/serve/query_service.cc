@@ -10,6 +10,7 @@
 #include "core/explain.h"
 #include "obs/prometheus.h"
 #include "obs/provenance.h"
+#include "util/json.h"
 
 namespace traceweaver::serve {
 namespace {
@@ -335,6 +336,25 @@ std::string ProvenanceJson(const TraceRecord& record) {
   }
   body += "]}";
   return body;
+}
+
+std::string TraceSummaryJson(const store::TraceSummary& summary) {
+  std::string out = "{\"trace\":";
+  out += std::to_string(static_cast<std::uint64_t>(summary.trace_id));
+  out += ',';
+  json::AppendStrField(out, "root_service", summary.root_service);
+  out += ',';
+  json::AppendStrField(out, "root_endpoint", summary.root_endpoint);
+  char buf[160];
+  std::snprintf(buf, sizeof(buf),
+                ",\"start\":%lld,\"end\":%lld,\"grade\":\"%c\","
+                "\"confidence\":%.6f,\"orphan\":%s,\"span_count\":%zu}",
+                static_cast<long long>(summary.start),
+                static_cast<long long>(summary.end), summary.grade,
+                summary.confidence, summary.orphan ? "true" : "false",
+                summary.span_count);
+  out += buf;
+  return out;
 }
 
 void QueryService::HandleProvenance(SpanId id, HttpResponse& response) {

@@ -50,6 +50,10 @@ std::string MetricsExposition(const obs::RegistrySnapshot& snapshot);
 /// `traceweaver provenance` subcommand.
 std::string ProvenanceJson(const TraceRecord& record);
 
+/// One `traceweaver query` summary line (no trailing newline):
+/// `{"trace":..,"root_service":..,...,"span_count":..}`.
+std::string TraceSummaryJson(const store::TraceSummary& summary);
+
 struct QueryServiceOptions {
   /// Hard cap on one listing response; a larger (or absent) limit= is
   /// clamped to this. Streaming is chunked, so this bounds work, not

@@ -4,6 +4,8 @@
 #include <map>
 #include <sstream>
 
+#include "util/json.h"
+
 namespace traceweaver {
 namespace {
 
@@ -12,13 +14,6 @@ std::string Hex(SpanId id) {
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(id));
   return buf;
-}
-
-void AppendEscaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
 }
 
 std::string Num(double v) {
@@ -34,9 +29,8 @@ void AppendSpan(std::string& out, const Span& s, SpanId parent,
                 const std::map<SpanId, JaegerSpanTags>* quality) {
   out += "{\"traceID\":\"" + trace_id + "\",";
   out += "\"spanID\":\"" + Hex(s.id) + "\",";
-  out += "\"operationName\":\"";
-  AppendEscaped(out, s.endpoint);
-  out += "\",\"references\":[";
+  json::AppendStrField(out, "operationName", s.endpoint);
+  out += ",\"references\":[";
   if (parent != kInvalidSpanId) {
     out += "{\"refType\":\"CHILD_OF\",\"traceID\":\"" + trace_id +
            "\",\"spanID\":\"" + Hex(parent) + "\"}";
@@ -48,9 +42,9 @@ void AppendSpan(std::string& out, const Span& s, SpanId parent,
   out += "\"duration\":" + std::to_string(s.ServerDuration() / kNsPerUs) +
          ",";
   out += "\"processID\":\"" + process_ids.at(s.callee) + "\",";
-  out += "\"tags\":[{\"key\":\"caller\",\"type\":\"string\",\"value\":\"";
-  AppendEscaped(out, s.caller);
-  out += "\"},{\"key\":\"replica\",\"type\":\"int64\",\"value\":" +
+  out += "\"tags\":[{\"key\":\"caller\",\"type\":\"string\",";
+  json::AppendStrField(out, "value", s.caller);
+  out += "},{\"key\":\"replica\",\"type\":\"int64\",\"value\":" +
          std::to_string(s.callee_replica) + "}";
   if (quality != nullptr) {
     const auto it = quality->find(s.id);
@@ -113,9 +107,9 @@ std::string TraceToJaegerObject(
   for (const auto& [service, pid] : process_ids) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + pid + "\":{\"serviceName\":\"";
-    AppendEscaped(out, service);
-    out += "\"}";
+    out += "\"" + pid + "\":{";
+    json::AppendStrField(out, "serviceName", service);
+    out += '}';
   }
   out += "}}";
   return out;

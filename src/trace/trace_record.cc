@@ -1,10 +1,10 @@
 #include "trace/trace_record.h"
 
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 
-#include "trace/checkpoint.h"
 #include "trace/jsonl_io.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -21,39 +21,8 @@ void AppendBool(std::string& out, const char* key, bool v) {
   out += v ? "\":true" : "\":false";
 }
 
-/// Position just past a top-level `"key":` in `line` (string-aware, same
-/// contract as the jsonl_io/checkpoint field scanners), or npos. Needed
-/// here because the record embeds whole span objects: scalar extraction
-/// must stop before the `spans` array so a span field can never shadow a
-/// record field.
-std::size_t TopLevelValue(const std::string& line, const char* key) {
-  const std::size_t key_len = std::strlen(key);
-  int depth = 0;
-  for (std::size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (c == '{' || c == '[') {
-      ++depth;
-    } else if (c == '}' || c == ']') {
-      --depth;
-    } else if (c == '"') {
-      if (depth == 1 && line.compare(i + 1, key_len, key) == 0 &&
-          i + 1 + key_len < line.size() && line[i + 1 + key_len] == '"' &&
-          i + 2 + key_len < line.size() && line[i + 2 + key_len] == ':') {
-        return i + 3 + key_len;
-      }
-      ++i;
-      while (i < line.size() && line[i] != '"') {
-        if (line[i] == '\\') ++i;
-        if (i < line.size()) ++i;
-      }
-      if (i >= line.size()) return std::string::npos;
-    }
-  }
-  return std::string::npos;
-}
-
 bool TopLevelBool(const std::string& line, const char* key) {
-  const std::size_t pos = TopLevelValue(line, key);
+  const std::size_t pos = json::FindValue(line, key);
   return pos != std::string::npos && line.compare(pos, 4, "true") == 0;
 }
 
@@ -107,8 +76,8 @@ std::string TraceRecordToJson(const TraceRecord& record) {
   out += TraceRecord::kSchema;
   out += "\",\"trace\":";
   out += std::to_string(static_cast<std::uint64_t>(record.trace_id));
-  ckpt::AppendStrField(out += ',', "root_service", record.root_service);
-  ckpt::AppendStrField(out += ',', "root_endpoint", record.root_endpoint);
+  json::AppendStrField(out += ',', "root_service", record.root_service);
+  json::AppendStrField(out += ',', "root_endpoint", record.root_endpoint);
   out += ",\"start\":";
   out += std::to_string(static_cast<std::int64_t>(record.start));
   out += ",\"end\":";
@@ -151,24 +120,22 @@ std::string TraceRecordToJson(const TraceRecord& record) {
 }
 
 std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
-  // Scalars come from the prefix before the spans array so span fields
-  // can never alias record fields; the checkpoint field helpers handle
-  // escapes on the string values.
-  const std::size_t spans_pos = TopLevelValue(line, "spans");
+  // json::FindValue only matches the record's own keys, so a field of an
+  // embedded span can never shadow a record field.
+  const std::size_t spans_pos = json::FindValue(line, "spans");
   if (spans_pos == std::string::npos) return std::nullopt;
-  const std::string head = line.substr(0, spans_pos);
-  const auto schema = ckpt::FieldStr(head, "schema");
+  const auto schema = json::FieldStr(line, "schema");
   if (!schema || *schema != TraceRecord::kSchema) return std::nullopt;
 
   TraceRecord record;
-  const auto trace = ckpt::FieldU64(head, "trace");
-  const auto service = ckpt::FieldStr(head, "root_service");
-  const auto endpoint = ckpt::FieldStr(head, "root_endpoint");
-  const auto start = ckpt::FieldI64(head, "start");
-  const auto end = ckpt::FieldI64(head, "end");
-  const auto grade = ckpt::FieldStr(head, "grade");
-  const auto confidence = ckpt::FieldF64(head, "confidence");
-  const auto min_confidence = ckpt::FieldF64(head, "min_confidence");
+  const auto trace = json::FieldU64(line, "trace");
+  const auto service = json::FieldStr(line, "root_service");
+  const auto endpoint = json::FieldStr(line, "root_endpoint");
+  const auto start = json::FieldI64(line, "start");
+  const auto end = json::FieldI64(line, "end");
+  const auto grade = json::FieldStr(line, "grade");
+  const auto confidence = json::FieldF64(line, "confidence");
+  const auto min_confidence = json::FieldF64(line, "min_confidence");
   if (!trace || !service || !endpoint || !start || !end || !grade ||
       grade->size() != 1 || !confidence || !min_confidence) {
     return std::nullopt;
@@ -181,8 +148,8 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   record.grade = (*grade)[0];
   record.confidence = *confidence;
   record.min_confidence = *min_confidence;
-  record.orphan = TopLevelBool(head, "orphan");
-  record.suspect = TopLevelBool(head, "suspect");
+  record.orphan = TopLevelBool(line, "orphan");
+  record.suspect = TopLevelBool(line, "suspect");
 
   std::vector<std::string> elements;
   if (!SplitObjectArray(line, spans_pos, elements)) return std::nullopt;
@@ -195,7 +162,7 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   if (record.spans.empty()) return std::nullopt;
 
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
-  std::size_t pos = TopLevelValue(line, "parents");
+  std::size_t pos = json::FindValue(line, "parents");
   if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
     return std::nullopt;
   }
@@ -219,7 +186,7 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
 
   // Optional provenance block (absent on records committed without a
   // ledger and on every pre-provenance record).
-  const std::size_t prov_pos = TopLevelValue(line, "provenance");
+  const std::size_t prov_pos = json::FindValue(line, "provenance");
   if (prov_pos != std::string::npos) {
     std::vector<std::string> events;
     if (!SplitObjectArray(line, prov_pos, events)) return std::nullopt;

@@ -9,12 +9,16 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/explain.h"
@@ -695,6 +699,49 @@ TEST_F(HttpApiTest, SelfTraceRoundTripsStoreHttpAndJaeger) {
     ++traces;
   }
   EXPECT_EQ(traces, 1u);
+}
+
+// ---------------------------------------------------------------------
+// Lifecycle: Stop() with idle workers.
+
+// Many Start/Stop cycles with every worker idle, stopping at varying
+// delays after Start so some of the many workers are caught between
+// "queue empty" and the wait. A lost wakeup leaves a worker waiting
+// forever and Stop() stuck in join (before the fix this hung about one
+// run in five); a watchdog turns that hang into a failure instead of a
+// test timeout.
+TEST(HttpServerLifecycleTest, StartStopCyclesWithIdleWorkersNeverHang) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread cycles([&done] {
+    for (int cycle = 0; cycle < 1000; ++cycle) {
+      HttpServerOptions hopts;
+      hopts.port = 0;
+      hopts.worker_threads = 64;
+      HttpServer server(
+          [](const HttpRequest&, HttpResponse& response) {
+            response.Send(200, "text/plain", "ok\n");
+          },
+          hopts);
+      std::string err;
+      if (!server.Start(&err)) {
+        ADD_FAILURE() << "cycle " << cycle << ": " << err;
+        break;
+      }
+      const auto until = std::chrono::steady_clock::now() +
+                         std::chrono::microseconds(cycle % 97);
+      while (std::chrono::steady_clock::now() < until) {
+      }
+      server.Stop();
+    }
+    done.set_value();
+  });
+  if (finished.wait_for(std::chrono::seconds(120)) !=
+      std::future_status::ready) {
+    std::fprintf(stderr, "HttpServer::Stop hung with idle workers\n");
+    std::_Exit(1);
+  }
+  cycles.join();
 }
 
 // ---------------------------------------------------------------------

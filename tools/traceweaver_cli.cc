@@ -91,6 +91,7 @@
 #include "serve/http_server.h"
 #include "serve/query_service.h"
 #include "serve/self_trace.h"
+#include "serve/serve_checkpoint.h"
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
@@ -134,8 +135,10 @@ int Usage() {
       "  --max-buffer-spans=N / --max-buffer-bytes=N\n"
       "                       span-buffer budget; breach sheds oldest\n"
       "                       windows as orphans (0 = unbounded)\n"
-      "  --checkpoint-dir=D   write CRC-guarded checkpoints to\n"
-      "                       D/checkpoint.jsonl (tmp+rename atomic)\n"
+      "  --checkpoint-dir=D   write CRC-guarded checkpoints to one file,\n"
+      "                       D/checkpoint.jsonl (schema v2; weaver,\n"
+      "                       committer and sampler sections; one\n"
+      "                       tmp+rename per checkpoint)\n"
       "  --checkpoint-every=N spans between snapshots (default 2000)\n"
       "  --resume             restore from --checkpoint-dir and continue\n"
       "                       at the saved source offset\n"
@@ -947,54 +950,6 @@ std::ifstream OpenWithRetry(const std::string& path, int retries,
   }
 }
 
-/// Writes a checkpoint atomically: tmp file + rename, so a crash
-/// mid-write leaves the previous snapshot intact.
-bool WriteCheckpointAtomic(const OnlineTraceWeaver& weaver,
-                           const std::string& dir, std::uint64_t offset) {
-  const std::string path = dir + "/checkpoint.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    weaver.SaveCheckpoint(out, {{"source_offset", offset}});
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/// Same tmp + rename discipline for the committer's pending-trace state,
-/// written next to the weaver checkpoint.
-bool WriteCommitterAtomic(const store::TraceCommitter& committer,
-                          const std::string& dir) {
-  const std::string path = dir + "/committer.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    committer.SaveState(out);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
-/// And for the tail sampler's counters + shed horizon, so a resumed run
-/// re-decides the replayed stream tail identically.
-bool WriteSamplerAtomic(const store::TailSampler& sampler,
-                        const std::string& dir) {
-  const std::string path = dir + "/sampler.jsonl";
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    sampler.SaveState(out);
-    out.flush();
-    if (!out) return false;
-  }
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
-
 /// SIGINT/SIGTERM latch for the serve loop: first signal requests a
 /// graceful checkpoint-and-exit (and ends --linger).
 std::atomic<bool> g_stop{false};
@@ -1122,64 +1077,22 @@ int CmdServe(int argc, char** argv) {
     self_tracer = std::make_unique<serve::SelfTracer>(tstore.get());
   }
 
+  const serve::ServeState state{&weaver, tstore.get(), committer.get(),
+                                sampler.get()};
   std::uint64_t offset = 0;
   if (flags.resume && !flags.checkpoint_dir.empty()) {
-    const std::string path = flags.checkpoint_dir + "/checkpoint.jsonl";
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-      std::fprintf(stderr, "serve: no checkpoint at %s, starting fresh\n",
-                   path.c_str());
+    std::string err;
+    if (serve::ResumeServeCheckpoint(flags.checkpoint_dir, state, &offset,
+                                     &err)) {
+      ometrics.restores.Inc();
+      std::fprintf(stderr,
+                   "serve: resumed from %s at source offset %llu "
+                   "(%zu pending committer spans)\n",
+                   flags.checkpoint_dir.c_str(),
+                   static_cast<unsigned long long>(offset),
+                   committer != nullptr ? committer->pending_spans() : 0);
     } else {
-      std::string err;
-      std::map<std::string, std::uint64_t> extra;
-      if (weaver.LoadCheckpoint(in, &err, &extra)) {
-        const auto it = extra.find("source_offset");
-        offset = it != extra.end() ? it->second : 0;
-        ometrics.restores.Inc();
-        std::fprintf(stderr,
-                     "serve: resumed from %s at source offset %llu\n",
-                     path.c_str(),
-                     static_cast<unsigned long long>(offset));
-      } else {
-        std::fprintf(stderr,
-                     "serve: checkpoint rejected (%s), starting fresh\n",
-                     err.c_str());
-      }
-    }
-  }
-  if (flags.resume && committer != nullptr && !flags.checkpoint_dir.empty()) {
-    const std::string cpath = flags.checkpoint_dir + "/committer.jsonl";
-    std::ifstream cin(cpath, std::ios::binary);
-    if (cin) {
-      std::string err;
-      if (committer->LoadState(cin, &err)) {
-        std::fprintf(stderr,
-                     "serve: restored %zu pending spans from %s\n",
-                     committer->pending_spans(), cpath.c_str());
-      } else {
-        std::fprintf(stderr,
-                     "serve: committer state rejected (%s); settling "
-                     "traces will be recovered from replay\n",
-                     err.c_str());
-      }
-    }
-  }
-  if (flags.resume && sampler != nullptr && !flags.checkpoint_dir.empty()) {
-    const std::string spath = flags.checkpoint_dir + "/sampler.jsonl";
-    std::ifstream sin(spath, std::ios::binary);
-    if (sin) {
-      std::string err;
-      if (sampler->LoadState(sin, &err)) {
-        std::fprintf(stderr,
-                     "serve: restored tail sampler state from %s "
-                     "(%zu considered, %zu shed)\n",
-                     spath.c_str(), sampler->considered(), sampler->shed());
-      } else {
-        std::fprintf(stderr,
-                     "serve: sampler state rejected (%s); decisions "
-                     "restart from a fresh horizon\n",
-                     err.c_str());
-      }
+      std::fprintf(stderr, "serve: %s, starting fresh\n", err.c_str());
     }
   }
 
@@ -1213,34 +1126,15 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 
-  // Seal-before-checkpoint: everything the checkpoint's source offset
-  // considers consumed must be durable (sealed segments + pending
-  // committer state) before the offset moves, or a crash right after the
-  // checkpoint would lose traces the resume will never replay.
   const auto checkpoint_impl = [&]() {
     if (flags.checkpoint_dir.empty()) return;
-    if (tstore != nullptr) {
-      std::string serr;
-      if (!tstore->Seal(&serr)) {
-        std::fprintf(stderr, "serve: store seal failed: %s\n", serr.c_str());
-        return;  // Keep the previous checkpoint; never outrun durability.
-      }
-      if (committer != nullptr &&
-          !WriteCommitterAtomic(*committer, flags.checkpoint_dir)) {
-        std::fprintf(stderr, "serve: committer state write failed\n");
-        return;
-      }
-      if (sampler != nullptr &&
-          !WriteSamplerAtomic(*sampler, flags.checkpoint_dir)) {
-        std::fprintf(stderr, "serve: sampler state write failed\n");
-        return;
-      }
-    }
-    if (WriteCheckpointAtomic(weaver, flags.checkpoint_dir, offset)) {
+    std::string err;
+    if (serve::SaveServeCheckpoint(flags.checkpoint_dir, state, offset,
+                                   &err)) {
       ometrics.checkpoints.Inc();
     } else {
-      std::fprintf(stderr, "serve: checkpoint write to %s failed\n",
-                   flags.checkpoint_dir.c_str());
+      std::fprintf(stderr, "serve: checkpoint to %s failed: %s\n",
+                   flags.checkpoint_dir.c_str(), err.c_str());
     }
   };
   const auto checkpoint = [&]() {
@@ -1537,23 +1431,8 @@ int CmdQuery(int argc, char** argv) {
           return true;
         });
   } else {
-    const auto esc = [](const std::string& s) {
-      std::string out;
-      for (char c : s) {
-        if (c == '"' || c == '\\') out += '\\';
-        out += c;
-      }
-      return out;
-    };
     for (const store::TraceSummary& s : tstore.QuerySummaries(query)) {
-      std::printf(
-          "{\"trace\":%llu,\"root_service\":\"%s\",\"root_endpoint\":"
-          "\"%s\",\"start\":%lld,\"end\":%lld,\"grade\":\"%c\","
-          "\"confidence\":%.6f,\"orphan\":%s,\"span_count\":%zu}\n",
-          static_cast<unsigned long long>(s.trace_id),
-          esc(s.root_service).c_str(), esc(s.root_endpoint).c_str(),
-          static_cast<long long>(s.start), static_cast<long long>(s.end),
-          s.grade, s.confidence, s.orphan ? "true" : "false", s.span_count);
+      std::printf("%s\n", serve::TraceSummaryJson(s).c_str());
       ++matched;
     }
   }
