@@ -170,102 +170,6 @@ std::vector<CandidateMapping> EnumerateCandidates(
   return results;
 }
 
-double ScoreMapping(const Span& parent, const InvocationPlan& plan,
-                    const std::vector<const Span*>& resolved_children,
-                    const ScoringContext& ctx) {
-  return ScoreMappingFlat(parent, plan, resolved_children.data(), ctx);
-}
-
-double ScoreMappingFlat(const Span& parent, const InvocationPlan& plan,
-                        const Span* const* resolved_children,
-                        const ScoringContext& ctx) {
-  std::vector<InvocationPlan::Position> flat;
-  if (ctx.positions == nullptr) flat = plan.Positions();
-  const std::vector<InvocationPlan::Position>& positions =
-      ctx.positions != nullptr ? *ctx.positions : flat;
-  double score = 0.0;
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (ctx.use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    double skip_lp;
-    double keep_lp;
-    const ScoringContext::PositionScore* ps = nullptr;
-    if (ctx.position_scores != nullptr) {
-      ps = &(*ctx.position_scores)[i];
-      skip_lp = ps->skip_lp;
-      keep_lp = ps->keep_lp;
-    } else {
-      skip_lp = ctx.skip_log_prob;
-      keep_lp = ctx.keep_log_prob;
-      bool known = false;
-      if (ctx.skip_rates != nullptr) {
-        const BackendCall& call = plan.At(positions[i]);
-        auto it = ctx.skip_rates->find({call.service, call.endpoint});
-        if (it != ctx.skip_rates->end()) {
-          const double rate = std::clamp(it->second, 1e-4, 1.0 - 1e-4);
-          skip_lp = std::log(rate);
-          keep_lp = std::log(1.0 - rate);
-          known = true;
-        }
-      }
-      // Known rates already absorb sampling through the observed
-      // discrepancy budget; only the defaults need re-deriving.
-      if (!known) AdjustForSampling(ctx.sampling_rate, skip_lp, keep_lp);
-    }
-    const Span* child = resolved_children[i];
-    if (child == nullptr) {
-      score += skip_lp + ctx.skip_margin;
-      continue;
-    }
-    score += keep_lp;
-    if (ctx.thread_match_bonus > 0.0 &&
-        child->caller_thread == parent.handler_thread) {
-      score += ctx.thread_match_bonus;
-    }
-    const TimeNs trigger =
-        ctx.use_order_constraints ? stage_lb : parent.server_recv;
-    const double gap = static_cast<double>(child->client_send - trigger);
-    // Mode-normalized log-likelihood ratio: unit-free, <= 0, directly
-    // comparable with the discrete skip log-probabilities above.
-    if (ps != nullptr) {
-      const double lp = ps->dist != nullptr ? ps->dist->LogPdf(gap)
-                                            : DelayModel::FallbackLogPdf(gap);
-      score += lp - ps->max_log_pdf;
-    } else {
-      const DelayKey key{parent.callee, parent.endpoint,
-                         static_cast<int>(positions[i].stage),
-                         static_cast<int>(positions[i].call)};
-      score += ctx.model->LogScore(key, gap) - ctx.model->MaxLogScore(key);
-    }
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
-  }
-
-  // Response-gap term: last child completion -> parent response departure.
-  if (any_child) {
-    const double gap = static_cast<double>(parent.server_send - max_recv);
-    if (ctx.position_scores != nullptr) {
-      const double lp = ctx.response_dist != nullptr
-                            ? ctx.response_dist->LogPdf(gap)
-                            : DelayModel::FallbackLogPdf(gap);
-      score += lp - ctx.response_max_log_pdf;
-    } else {
-      const DelayKey rkey =
-          DelayKey::ResponseGap(parent.callee, parent.endpoint);
-      score += ctx.model->LogScore(rkey, gap) - ctx.model->MaxLogScore(rkey);
-    }
-  }
-  return score;
-}
-
 CandidateGapTable BuildGapTable(
     const Span& parent,
     const std::vector<InvocationPlan::Position>& positions,
@@ -283,8 +187,7 @@ CandidateGapTable BuildGapTable(
 
   for (std::size_t c = 0; c < num_candidates; ++c) {
     const Span* const* children = resolved + c * np;
-    // The stage_lb / max_recv walk is ScoreMappingFlat's, on integer
-    // timestamps throughout -- the extracted gaps are exact.
+    // Integer timestamps throughout -- the extracted gaps are exact.
     TimeNs stage_lb = parent.server_recv;
     TimeNs max_recv = parent.server_recv;
     std::size_t prev_stage = 0;
@@ -316,6 +219,63 @@ CandidateGapTable BuildGapTable(
   return t;
 }
 
+double ScoreCandidate(const CandidateGapTable& table, std::size_t cand,
+                      const ScoringContext& ctx, ScoreBreakdown* breakdown) {
+  const std::size_t np = table.num_positions;
+  if (breakdown != nullptr) {
+    *breakdown = ScoreBreakdown{};
+    breakdown->positions.resize(np);
+  }
+  double score = 0.0;
+  for (std::size_t i = 0; i < np; ++i) {
+    const ScoringContext::PositionScore& ps = (*ctx.position_scores)[i];
+    const std::size_t slot = table.Slot(i, cand);
+    ScoreBreakdown::Position* row =
+        breakdown != nullptr ? &breakdown->positions[i] : nullptr;
+    if (table.filled[slot] == 0) {
+      const double skip_term = ps.skip_lp + ctx.skip_margin;
+      score += skip_term;
+      if (row != nullptr) row->discrete_lp = skip_term;
+      continue;
+    }
+    score += ps.keep_lp;
+    double bonus = 0.0;
+    if (ctx.thread_match_bonus > 0.0 && table.thread_match[slot] != 0) {
+      bonus = ctx.thread_match_bonus;
+      score += bonus;
+    }
+    const double gap = table.gaps[slot];
+    const double lp = ps.dist != nullptr ? ps.dist->LogPdf(gap)
+                                         : DelayModel::FallbackLogPdf(gap);
+    // Mode-normalized log-likelihood ratio: unit-free, <= 0, directly
+    // comparable with the discrete skip log-probabilities above.
+    const double timing = lp - ps.max_log_pdf;
+    score += timing;
+    if (row != nullptr) {
+      row->skipped = false;
+      row->gap_ns = gap;
+      row->timing_lp = timing;
+      row->discrete_lp = ps.keep_lp;
+      row->thread_bonus = bonus;
+    }
+  }
+  if (table.any_child[cand] != 0) {
+    const double gap = table.response_gap[cand];
+    const double lp = ctx.response_dist != nullptr
+                          ? ctx.response_dist->LogPdf(gap)
+                          : DelayModel::FallbackLogPdf(gap);
+    const double response = lp - ctx.response_max_log_pdf;
+    score += response;
+    if (breakdown != nullptr) {
+      breakdown->has_response = true;
+      breakdown->response_gap_ns = gap;
+      breakdown->response_lp = response;
+    }
+  }
+  if (breakdown != nullptr) breakdown->total = score;
+  return score;
+}
+
 void ScoreCandidatesBatch(const CandidateGapTable& table,
                           const ScoringContext& ctx,
                           std::span<double> scores,
@@ -338,7 +298,7 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
     }
     const std::uint8_t* fl = table.filled.data() + i * nc;
     const std::uint8_t* tm = table.thread_match.data() + i * nc;
-    // Accumulation mirrors ScoreMappingFlat's adds term by term (skip sum,
+    // Accumulation mirrors ScoreCandidate's adds term by term (skip sum,
     // keep, bonus, normalized timing), so per-candidate totals are
     // bitwise identical.
     const double skip_term = ps.skip_lp + ctx.skip_margin;
@@ -365,153 +325,6 @@ void ScoreCandidatesBatch(const CandidateGapTable& table,
       scores[c] += lp[c] - ctx.response_max_log_pdf;
     }
   }
-}
-
-ScoreBreakdown ExplainMapping(const Span& parent, const InvocationPlan& plan,
-                              const std::vector<const Span*>& resolved_children,
-                              const ScoringContext& ctx) {
-  // Mirrors ScoreMappingFlat term by term; `total` accumulates in the same
-  // order so the result is bitwise identical to the ranked score.
-  ScoreBreakdown out;
-  std::vector<InvocationPlan::Position> flat;
-  if (ctx.positions == nullptr) flat = plan.Positions();
-  const std::vector<InvocationPlan::Position>& positions =
-      ctx.positions != nullptr ? *ctx.positions : flat;
-  double score = 0.0;
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (ctx.use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    double skip_lp;
-    double keep_lp;
-    const ScoringContext::PositionScore* ps = nullptr;
-    if (ctx.position_scores != nullptr) {
-      ps = &(*ctx.position_scores)[i];
-      skip_lp = ps->skip_lp;
-      keep_lp = ps->keep_lp;
-    } else {
-      skip_lp = ctx.skip_log_prob;
-      keep_lp = ctx.keep_log_prob;
-      bool known = false;
-      if (ctx.skip_rates != nullptr) {
-        const BackendCall& bc = plan.At(positions[i]);
-        auto it = ctx.skip_rates->find({bc.service, bc.endpoint});
-        if (it != ctx.skip_rates->end()) {
-          const double rate = std::clamp(it->second, 1e-4, 1.0 - 1e-4);
-          skip_lp = std::log(rate);
-          keep_lp = std::log(1.0 - rate);
-          known = true;
-        }
-      }
-      if (!known) AdjustForSampling(ctx.sampling_rate, skip_lp, keep_lp);
-    }
-    const BackendCall& call = plan.At(positions[i]);
-    ScoreBreakdown::Position row;
-    row.stage = positions[i].stage;
-    row.call = positions[i].call;
-    row.service = call.service;
-    row.endpoint = call.endpoint;
-
-    const Span* child = resolved_children[i];
-    if (child == nullptr) {
-      row.discrete_lp = skip_lp + ctx.skip_margin;
-      score += row.discrete_lp;
-      out.positions.push_back(std::move(row));
-      continue;
-    }
-    row.skipped = false;
-    row.child = child->id;
-    row.discrete_lp = keep_lp;
-    score += keep_lp;
-    if (ctx.thread_match_bonus > 0.0 &&
-        child->caller_thread == parent.handler_thread) {
-      row.thread_bonus = ctx.thread_match_bonus;
-      score += ctx.thread_match_bonus;
-    }
-    const TimeNs trigger =
-        ctx.use_order_constraints ? stage_lb : parent.server_recv;
-    const double gap = static_cast<double>(child->client_send - trigger);
-    row.gap_ns = gap;
-    if (ps != nullptr) {
-      const double lp = ps->dist != nullptr ? ps->dist->LogPdf(gap)
-                                            : DelayModel::FallbackLogPdf(gap);
-      row.timing_lp = lp - ps->max_log_pdf;
-    } else {
-      const DelayKey key{parent.callee, parent.endpoint,
-                         static_cast<int>(positions[i].stage),
-                         static_cast<int>(positions[i].call)};
-      row.timing_lp = ctx.model->LogScore(key, gap) - ctx.model->MaxLogScore(key);
-    }
-    score += row.timing_lp;
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
-    out.positions.push_back(std::move(row));
-  }
-
-  if (any_child) {
-    out.has_response = true;
-    const double gap = static_cast<double>(parent.server_send - max_recv);
-    out.response_gap_ns = gap;
-    if (ctx.position_scores != nullptr) {
-      const double lp = ctx.response_dist != nullptr
-                            ? ctx.response_dist->LogPdf(gap)
-                            : DelayModel::FallbackLogPdf(gap);
-      out.response_lp = lp - ctx.response_max_log_pdf;
-    } else {
-      const DelayKey rkey =
-          DelayKey::ResponseGap(parent.callee, parent.endpoint);
-      out.response_lp =
-          ctx.model->LogScore(rkey, gap) - ctx.model->MaxLogScore(rkey);
-    }
-    score += out.response_lp;
-  }
-  out.total = score;
-  return out;
-}
-
-std::vector<GapSample> ExtractGaps(
-    const Span& parent, const InvocationPlan& plan,
-    const std::vector<const Span*>& resolved_children,
-    bool use_order_constraints) {
-  const auto positions = plan.Positions();
-  std::vector<GapSample> samples;
-  samples.reserve(positions.size() + 1);
-
-  TimeNs stage_lb = parent.server_recv;
-  TimeNs max_recv = parent.server_recv;
-  std::size_t prev_stage = 0;
-  bool any_child = false;
-
-  for (std::size_t i = 0; i < positions.size(); ++i) {
-    if (use_order_constraints && positions[i].stage != prev_stage) {
-      stage_lb = std::max(stage_lb, max_recv);
-      prev_stage = positions[i].stage;
-    }
-    const Span* child = resolved_children[i];
-    if (child == nullptr) continue;
-    const TimeNs trigger =
-        use_order_constraints ? stage_lb : parent.server_recv;
-    samples.push_back(GapSample{
-        DelayKey{parent.callee, parent.endpoint,
-                 static_cast<int>(positions[i].stage),
-                 static_cast<int>(positions[i].call)},
-        static_cast<double>(child->client_send - trigger)});
-    max_recv = std::max(max_recv, child->client_recv);
-    any_child = true;
-  }
-  if (any_child) {
-    samples.push_back(GapSample{
-        DelayKey::ResponseGap(parent.callee, parent.endpoint),
-        static_cast<double>(parent.server_send - max_recv)});
-  }
-  return samples;
 }
 
 }  // namespace traceweaver

@@ -1,4 +1,4 @@
-// Candidate-mapping enumeration, scoring, and gap extraction
+// Candidate-mapping enumeration, gap extraction and scoring
 // (§4.1 steps 1 and 4).
 //
 // For an incoming (parent) span with an InvocationPlan, a candidate mapping
@@ -16,10 +16,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "callgraph/call_graph.h"
@@ -106,18 +104,10 @@ std::vector<CandidateMapping> EnumerateCandidates(
     const PositionPools& pools, const EnumerationOptions& options);
 
 struct ScoringContext {
-  const DelayModel* model = nullptr;
   /// Fallback log P(position skipped) when no per-backend rate is known.
   double skip_log_prob = -6.0;
   /// Fallback log P(position present).
   double keep_log_prob = 0.0;
-  /// Score timing gaps against the stage-enabling event (dependency order
-  /// on) or uniformly against the parent arrival (ablation).
-  bool use_order_constraints = true;
-  /// Per-backend skip rates keyed by (service, endpoint), estimated from
-  /// incoming/outgoing discrepancies (§4.2); overrides the fallbacks.
-  const std::map<std::pair<std::string, std::string>, double>* skip_rates =
-      nullptr;
   /// Extra log-penalty applied to skips on top of log(rate). Timing terms
   /// are mode-normalized likelihood ratios (<= 0), so this margin sets how
   /// atypical a feasible child's timing must be before skipping scores
@@ -136,30 +126,21 @@ struct ScoringContext {
   /// (default) is a no-op.
   double sampling_rate = 1.0;
 
-  // ------- precomputed hot path (optimizer-internal) -------
-  // Scoring one candidate is the innermost loop of the pipeline; resolving
-  // a DelayKey (two string copies + map lookup) and a skip-rate map lookup
-  // per position per candidate dominates it. The optimizer precomputes
-  // both per (task, batch) -- they are identical for every candidate of a
-  // task -- and ScoreMapping reads the table instead. Scores are bitwise
-  // identical to the lookup path.
-
-  /// One entry per plan position (InvocationPlan::Positions() order).
+  /// Per-position scoring terms, resolved once per (task, iteration) --
+  /// they are identical for every candidate of a task -- so the scorers
+  /// never look up a DelayKey or a skip rate per candidate.
   struct PositionScore {
     double skip_lp = -6.0;  ///< log P(position skipped), margin excluded.
     double keep_lp = 0.0;   ///< log P(position present).
     const GaussianMixture* dist = nullptr;  ///< null: fallback Gaussian.
     double max_log_pdf = 0.0;               ///< Peak log-density of `dist`.
   };
-  /// When set, overrides `model`/`skip_rates` lookups entirely.
+  /// One entry per plan position (InvocationPlan::Positions() order).
+  /// Required by both scorers.
   const std::vector<PositionScore>* position_scores = nullptr;
-  /// Response-gap distribution, valid when `position_scores` is set.
-  const GaussianMixture* response_dist = nullptr;  ///< null: fallback.
+  /// Response-gap distribution (null: fallback Gaussian) and its peak.
+  const GaussianMixture* response_dist = nullptr;
   double response_max_log_pdf = 0.0;
-  /// Flattened plan positions, reused across candidates (avoids one vector
-  /// allocation per ScoreMapping call). Optional independently of the
-  /// table.
-  const std::vector<InvocationPlan::Position>* positions = nullptr;
 };
 
 /// Folds a known sampling keep-probability `rate` into discrete skip/keep
@@ -171,28 +152,13 @@ struct ScoringContext {
 /// for unsampled streams.
 void AdjustForSampling(double rate, double& skip_lp, double& keep_lp);
 
-/// Scores one candidate mapping for `parent`: sum of per-position delay
-/// log-densities plus the response-gap term and skip penalties. Needs the
-/// actual Span objects; `lookup` resolves span ids from the pools.
-double ScoreMapping(const Span& parent, const InvocationPlan& plan,
-                    const std::vector<const Span*>& resolved_children,
-                    const ScoringContext& ctx);
-
-/// Pointer flavour for callers holding resolved children in a flat buffer
-/// (one slot per plan position); identical scoring. Named distinctly so a
-/// braced-init argument ({...}) can never silently select the raw-pointer
-/// signature over the vector one.
-double ScoreMappingFlat(const Span& parent, const InvocationPlan& plan,
-                        const Span* const* resolved_children,
-                        const ScoringContext& ctx);
-
 /// Structure-of-arrays view of one task's enumerated candidates: the
-/// timing gaps and discrete flags ScoreMapping derives from the resolved
-/// child spans, extracted once per task. Gaps depend only on the parent,
-/// the plan and the candidate's own children -- never on the delay model --
-/// so the table is built once after enumeration and reused across every
-/// ranking iteration, and ScoreCandidatesBatch can evaluate one position's
-/// gap column with a single batched LogPdf call.
+/// timing gaps and discrete flags the scorers read, extracted once per
+/// task. Gaps depend only on the parent, the plan and the candidate's own
+/// children -- never on the delay model -- so the table is built once
+/// after enumeration and serves every ranking iteration, the refit (the
+/// chosen candidate's gaps are its refit samples, §4.1 step 6) and the
+/// explain drill-down.
 ///
 /// Layout is column-major by position: slot [pos * num_candidates + cand].
 struct CandidateGapTable {
@@ -209,33 +175,29 @@ struct CandidateGapTable {
   std::vector<double> response_gap;
   /// 1 when the candidate fills at least one position.
   std::vector<std::uint8_t> any_child;
+
+  std::size_t Slot(std::size_t pos, std::size_t cand) const {
+    return pos * num_candidates + cand;
+  }
 };
 
 /// Builds the gap table for `num_candidates` mappings whose resolved
 /// children live in `resolved`, flat [cand * positions.size() + pos]
-/// (ParentTask layout). Gap arithmetic is integer until the final cast,
-/// identical to ScoreMapping's.
+/// (nullptr for skips). This is the one walk of the stage bounds: with
+/// dependency order on, a stage's calls are timed from the later of the
+/// parent arrival and the previous stages' last completion; off, every
+/// call is timed from the parent arrival. Gap arithmetic is integer until
+/// the final cast.
 CandidateGapTable BuildGapTable(
     const Span& parent,
     const std::vector<InvocationPlan::Position>& positions,
     const Span* const* resolved, std::size_t num_candidates,
     bool use_order_constraints);
 
-/// Scores every candidate of one task in one pass: per position, one
-/// batched LogPdf over the gap column, then per-candidate accumulation in
-/// exactly ScoreMappingFlat's term order -- scores are bitwise identical
-/// to calling ScoreMappingFlat per candidate. Requires
-/// ctx.position_scores (the optimizer's precomputed table). `scores` must
-/// hold num_candidates slots; `scratch` at least num_candidates doubles.
-void ScoreCandidatesBatch(const CandidateGapTable& table,
-                          const ScoringContext& ctx,
-                          std::span<double> scores,
-                          std::span<double> scratch);
-
 /// Per-position score decomposition of one candidate mapping, for the
-/// `explain` drill-down. Each row mirrors exactly one additive term of
-/// ScoreMapping, so the row sums (plus the response term) reproduce the
-/// ranked score bit-for-bit.
+/// `explain` drill-down. Each row mirrors exactly one additive term of the
+/// score, so the row sums (plus the response term) reproduce the ranked
+/// score bit-for-bit.
 struct ScoreBreakdown {
   struct Position {
     std::size_t stage = 0;
@@ -253,27 +215,29 @@ struct ScoreBreakdown {
   bool has_response = false;  ///< At least one position was filled.
   double response_gap_ns = 0.0;
   double response_lp = 0.0;
-  double total = 0.0;  ///< Sum of every term; equals ScoreMapping's result.
+  double total = 0.0;  ///< Sum of every term; equals the candidate score.
 };
 
-/// Recomputes one candidate's score with every additive term recorded.
-/// Cold path (explain drill-down only); given the same ScoringContext the
-/// `total` is bitwise identical to ScoreMapping.
-ScoreBreakdown ExplainMapping(const Span& parent, const InvocationPlan& plan,
-                              const std::vector<const Span*>& resolved_children,
-                              const ScoringContext& ctx);
+/// Scores candidate `cand` of `table`: per position the skip term (skip_lp
+/// + margin) or the keep term, thread bonus and mode-normalized delay
+/// log-density, then the response-gap term. The scalar reference scorer:
+/// ScoreCandidatesBatch must agree with it bit for bit. When `breakdown`
+/// is set it also records every term; the score fields of
+/// `breakdown->positions` are filled (resized to the table's positions),
+/// while the identity fields (stage, call, service, endpoint, child) are
+/// left for the caller, which knows the plan.
+double ScoreCandidate(const CandidateGapTable& table, std::size_t cand,
+                      const ScoringContext& ctx,
+                      ScoreBreakdown* breakdown = nullptr);
 
-/// A (delay key, observed gap) pair extracted from an accepted mapping;
-/// the refit input for the next iteration (§4.1 step 6).
-struct GapSample {
-  DelayKey key;
-  double gap = 0.0;
-};
-
-/// Extracts all gap samples implied by an accepted mapping.
-std::vector<GapSample> ExtractGaps(
-    const Span& parent, const InvocationPlan& plan,
-    const std::vector<const Span*>& resolved_children,
-    bool use_order_constraints);
+/// Scores every candidate of one task in one pass: per position, one
+/// batched LogPdf over the gap column, then per-candidate accumulation in
+/// exactly ScoreCandidate's term order -- scores are bitwise identical to
+/// calling ScoreCandidate per candidate. `scores` must hold num_candidates
+/// slots; `scratch` at least num_candidates doubles.
+void ScoreCandidatesBatch(const CandidateGapTable& table,
+                          const ScoringContext& ctx,
+                          std::span<double> scores,
+                          std::span<double> scratch);
 
 }  // namespace traceweaver

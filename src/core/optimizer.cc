@@ -43,18 +43,24 @@ struct ParentTask {
   std::vector<const Span*> forced;
   std::vector<CandidateMapping> all_candidates;  ///< Enumerated once.
   /// Children of all_candidates resolved to spans, flat
-  /// [cand * positions.size() + pos]; null where skipped. Built once so
-  /// ranking never does per-candidate id lookups.
+  /// [cand * positions.size() + pos]; null where skipped. Only read to
+  /// build gap_table, but kept with the task: freeing it per task inside
+  /// the parallel enumeration measured ~4% lower serve throughput
+  /// (servebench media_reconstruct, 2 threads, 4-core x86-64 host).
   std::vector<const Span*> resolved;
 
   /// Timing gaps + discrete flags of all_candidates in column-major SoA
-  /// form, extracted once after enumeration (fast data path). Model-free,
-  /// so it survives every ranking iteration unchanged.
+  /// form, extracted once after enumeration. Model-free, so it serves
+  /// every ranking iteration, the refit and the explain drill-down.
   CandidateGapTable gap_table;
+
+  /// (score, all_candidates index) by rank: after ranking, the first
+  /// ParentResult::ranked.size() entries are the ranked mappings, so
+  /// order[j].second locates ranked[j]'s row in gap_table.
+  std::vector<std::pair<double, std::uint32_t>> order;
 
   // Reusable per-task scratch (only touched by the thread ranking this
   // task, so parallel ranking stays race-free).
-  std::vector<std::pair<double, std::uint32_t>> order;
   std::vector<ScoringContext::PositionScore> pos_scores;
   std::vector<double> scores;      ///< Batch-scoring output, per candidate.
   std::vector<double> lp_scratch;  ///< Batch-scoring scratch, per candidate.
@@ -101,10 +107,9 @@ struct Workspace {
   /// Structure-of-arrays columns per pool id (timestamps, thread ids,
   /// interned names), built once after the pools settle; the window scans
   /// and seed-series loops walk these contiguous arrays instead of chasing
-  /// Span pointers. Only filled on the fast data path.
+  /// Span pointers.
   std::vector<SpanColumns> pool_columns;
   NameInterner names;
-  bool fast_path = false;  ///< OptimizerOptions::fast_data_path.
   std::unordered_map<SpanId, const Span*> span_by_id;
   std::vector<ParentTask> tasks;       ///< Sorted by SpanStartOrder.
   std::vector<const Span*> task_spans; ///< Parallel to tasks, for batching.
@@ -275,8 +280,7 @@ void EnumerateAll(Workspace& ws) {
     std::uint64_t allocs = 0; ///< Allocate() calls this task issued.
   };
   std::vector<EnumerationStats> stats(ws.tasks.size());
-  std::vector<ArenaTaskStats> arena_stats(
-      ws.fast_path ? ws.tasks.size() : 0);
+  std::vector<ArenaTaskStats> arena_stats(ws.tasks.size());
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
     ParentTask& task = ws.tasks[t];
     EnumerationOptions task_opts = eopts;
@@ -289,25 +293,20 @@ void EnumerateAll(Workspace& ws) {
     // The DFS fills the flat resolved-pointer buffer as a side product of
     // emitting each mapping, so no id -> span resolution pass is needed.
     task_opts.resolved_out = &task.resolved;
-    if (ws.fast_path) {
-      // One warmed-up arena per worker thread, rewound between tasks: after
-      // the first few tasks the DFS scratch never touches the heap again.
-      thread_local ArenaAllocator arena;
-      arena.Reset();
-      const std::uint64_t allocs_before = arena.allocations();
-      task_opts.scratch = &arena;
-      task.all_candidates =
-          EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
-      // The gap table is model-free, so it is built once here and reused by
-      // every ranking iteration's batched scoring pass.
-      task.gap_table = BuildGapTable(
-          *task.span, task.positions, task.resolved.data(),
-          task.all_candidates.size(), eopts.use_order_constraints);
-      arena_stats[t] = {arena.used(), arena.allocations() - allocs_before};
-    } else {
-      task.all_candidates =
-          EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
-    }
+    // One warmed-up arena per worker thread, rewound between tasks: after
+    // the first few tasks the DFS scratch never touches the heap again.
+    thread_local ArenaAllocator arena;
+    arena.Reset();
+    const std::uint64_t allocs_before = arena.allocations();
+    task_opts.scratch = &arena;
+    task.all_candidates =
+        EnumerateCandidates(*task.span, *task.plan, task.pools, task_opts);
+    // The gap table is model-free, so it is built once here and reused by
+    // every ranking iteration, the refit and the explain drill-down.
+    task.gap_table =
+        BuildGapTable(*task.span, task.positions, task.resolved.data(),
+                      task.all_candidates.size(), eopts.use_order_constraints);
+    arena_stats[t] = {arena.used(), arena.allocations() - allocs_before};
   });
 
   const obs::PipelineMetrics& pm = *ws.pm;
@@ -320,19 +319,15 @@ void EnumerateAll(Workspace& ws) {
     total.total_capped += stats[t].total_capped;
     candidates += ws.tasks[t].all_candidates.size();
     pm.candidates_per_parent.Observe(ws.tasks[t].all_candidates.size());
-    if (ws.fast_path) {
-      arena_bytes += arena_stats[t].used;
-      arena_allocs += arena_stats[t].allocs;
-    }
+    arena_bytes += arena_stats[t].used;
+    arena_allocs += arena_stats[t].allocs;
   }
   pm.candidates.Inc(candidates);
   pm.enum_dfs_nodes.Inc(total.dfs_nodes);
   pm.enum_branch_limited.Inc(total.branch_limited);
   pm.enum_total_capped.Inc(total.total_capped);
-  if (ws.fast_path) {
-    pm.arena_scratch_bytes.Inc(arena_bytes);
-    pm.arena_allocations.Inc(arena_allocs);
-  }
+  pm.arena_scratch_bytes.Inc(arena_bytes);
+  pm.arena_allocations.Inc(arena_allocs);
 }
 
 // ---------------------------------------------------------------------------
@@ -340,26 +335,17 @@ void EnumerateAll(Workspace& ws) {
 // dynamism).
 // ---------------------------------------------------------------------------
 
-/// Widened copy of one pool timestamp column: the fast path reads the
-/// contiguous SoA column, the fallback chases the span pointers; both
-/// produce the same values in the same (client_send-sorted) order.
+/// Widened copy of one pool timestamp column (client_send-sorted order),
+/// read from the pool's contiguous SoA column.
 std::vector<double> PoolSeries(const Workspace& ws, const ParentTask& task,
                                std::size_t pos_idx, bool response_side) {
+  const auto id = static_cast<std::size_t>(task.position_pool[pos_idx]);
+  const std::vector<TimeNs>& col = response_side
+                                       ? ws.pool_columns[id].client_recv
+                                       : ws.pool_columns[id].client_send;
   std::vector<double> out;
-  if (ws.fast_path) {
-    const auto id = static_cast<std::size_t>(task.position_pool[pos_idx]);
-    const std::vector<TimeNs>& col = response_side
-                                         ? ws.pool_columns[id].client_recv
-                                         : ws.pool_columns[id].client_send;
-    out.reserve(col.size());
-    for (const TimeNs t : col) out.push_back(static_cast<double>(t));
-    return out;
-  }
-  out.reserve(task.pools[pos_idx]->size());
-  for (const Span* c : *task.pools[pos_idx]) {
-    out.push_back(
-        static_cast<double>(response_side ? c->client_recv : c->client_send));
-  }
+  out.reserve(col.size());
+  for (const TimeNs t : col) out.push_back(static_cast<double>(t));
   return out;
 }
 
@@ -473,22 +459,16 @@ void SeedFromWap5(const Workspace& ws, DelayModel& model) {
   std::map<DelayKey, std::vector<double>> samples;
   for (const auto& [pkey, pid] : ws.pools.ids) {
     (void)pkey;
-    const auto& pool = ws.pools.spans[static_cast<std::size_t>(pid)];
+    const SpanColumns& col = ws.pool_columns[static_cast<std::size_t>(pid)];
     const auto& cs = callers[static_cast<std::size_t>(pid)];
-    if (pool.empty() || cs.empty()) continue;
+    if (col.empty() || cs.empty()) continue;
     // Children are sorted by client_send, so the cursor over eligible
     // parents only moves forward; the backward walk finds the most recent
-    // parent whose response window still covers the child. The fast path
-    // reads the pool's SoA timestamp columns; values are identical.
-    const SpanColumns* col =
-        ws.fast_path ? &ws.pool_columns[static_cast<std::size_t>(pid)]
-                     : nullptr;
+    // parent whose response window still covers the child.
     std::size_t hi = 0;
-    for (std::size_t ci = 0; ci < pool.size(); ++ci) {
-      const TimeNs child_send =
-          col != nullptr ? col->client_send[ci] : pool[ci]->client_send;
-      const TimeNs child_recv =
-          col != nullptr ? col->client_recv[ci] : pool[ci]->client_recv;
+    for (std::size_t ci = 0; ci < col.size(); ++ci) {
+      const TimeNs child_send = col.client_send[ci];
+      const TimeNs child_recv = col.client_recv[ci];
       while (hi < cs.size() &&
              ws.tasks[cs[hi].task].span->server_recv <= child_send) {
         ++hi;
@@ -565,7 +545,7 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
     // spans confined to the batch's time window.
     std::vector<std::size_t> quotas(batches.size(), 0);
     std::vector<std::size_t> demand(batches.size(), 0);
-    const auto& pool = ws.pools.spans[p];
+    const SpanColumns& col = ws.pool_columns[p];
     for (std::size_t b = 0; b < batches.size(); ++b) {
       std::size_t x = 0;
       for (std::size_t t = batches[b].begin; t < batches[b].end; ++t) {
@@ -574,28 +554,15 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
         }
       }
       std::size_t y = 0;
-      // Pool spans are sorted by client_send: jump to the window start and
-      // stop once past its end (client_recv <= hi implies
-      // client_send <= hi). The fast path binary-searches and walks the
-      // contiguous SoA timestamp columns instead of span pointers.
-      if (ws.fast_path) {
-        const SpanColumns& col = ws.pool_columns[p];
-        const auto first = std::lower_bound(col.client_send.begin(),
-                                            col.client_send.end(), win_lo[b]);
-        for (auto i = static_cast<std::size_t>(
-                 first - col.client_send.begin());
-             i < col.client_send.size(); ++i) {
-          if (col.client_send[i] > win_hi[b]) break;
-          if (col.client_recv[i] <= win_hi[b]) ++y;
-        }
-      } else {
-        const auto first = std::lower_bound(
-            pool.begin(), pool.end(), win_lo[b],
-            [](const Span* s, TimeNs t) { return s->client_send < t; });
-        for (auto it = first; it != pool.end(); ++it) {
-          if ((*it)->client_send > win_hi[b]) break;
-          if ((*it)->client_recv <= win_hi[b]) ++y;
-        }
+      // Pool spans are sorted by client_send: binary-search the window
+      // start in the SoA column and stop once past its end (client_recv <=
+      // hi implies client_send <= hi).
+      const auto first = std::lower_bound(col.client_send.begin(),
+                                          col.client_send.end(), win_lo[b]);
+      for (auto i = static_cast<std::size_t>(first - col.client_send.begin());
+           i < col.client_send.size(); ++i) {
+        if (col.client_send[i] > win_hi[b]) break;
+        if (col.client_recv[i] <= win_hi[b]) ++y;
       }
       demand[b] = x;
       quotas[b] = x > y ? x - y : 0;
@@ -617,17 +584,24 @@ std::vector<BatchRates> AllocateSkips(const Workspace& ws,
   return rates;
 }
 
-/// Fills the task's per-position scoring table for one iteration: discrete
-/// skip/keep terms from the (batch or container) rates plus the current
-/// delay distributions. O(positions) per task -- tiny next to scoring.
-void BuildPositionScores(const Workspace& ws, ParentTask& task,
-                         const BatchRates& batch, const DelayModel& model,
-                         const ScoringContext& defaults) {
+/// The scoring context of one task against `model`: the per-position
+/// table (discrete skip/keep terms from the batch or container rates, the
+/// current delay distributions) filled into task.pos_scores, plus the
+/// response distribution. O(positions) per task -- tiny next to scoring.
+/// The one builder behind both ranking and the explain drill-down, so the
+/// two always score against the same terms.
+ScoringContext TaskContext(const Workspace& ws, ParentTask& task,
+                           const BatchRates& batch, const DelayModel& model) {
+  ScoringContext ctx;
+  ctx.sampling_rate = ws.opts->params.sampling_rate;
+  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
+    ctx.thread_match_bonus = ws.opts->thread_match_bonus;
+  }
   task.pos_scores.resize(task.positions.size());
   for (std::size_t i = 0; i < task.positions.size(); ++i) {
     ScoringContext::PositionScore& ps = task.pos_scores[i];
-    ps.skip_lp = defaults.skip_log_prob;
-    ps.keep_lp = defaults.keep_log_prob;
+    ps.skip_lp = ctx.skip_log_prob;
+    ps.keep_lp = ctx.keep_log_prob;
     const std::size_t p = static_cast<std::size_t>(task.position_pool[i]);
     const bool known = batch.any ? batch.has[p] != 0 : ws.has_rate[p] != 0;
     if (known) {
@@ -638,7 +612,7 @@ void BuildPositionScores(const Workspace& ws, ParentTask& task,
     } else {
       // Water-filled rates already reflect sampled-out children via the
       // floored budget (DetectDynamism); only the defaults need it.
-      AdjustForSampling(defaults.sampling_rate, ps.skip_lp, ps.keep_lp);
+      AdjustForSampling(ctx.sampling_rate, ps.skip_lp, ps.keep_lp);
     }
     const DelayModel::DistView view =
         model.View(DelayKey{task.span->callee, task.span->endpoint,
@@ -647,6 +621,12 @@ void BuildPositionScores(const Workspace& ws, ParentTask& task,
     ps.dist = view.mixture;
     ps.max_log_pdf = view.max_log_pdf;
   }
+  ctx.position_scores = &task.pos_scores;
+  const DelayModel::DistView response = model.View(
+      DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
+  ctx.response_dist = response.mixture;
+  ctx.response_max_log_pdf = response.max_log_pdf;
+  return ctx;
 }
 
 /// Scores and ranks each task's candidates, keeping the top K. Skip rates
@@ -660,14 +640,6 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
                     const std::vector<BatchRates>& batch_rates,
                     const std::set<HandlerPair>* dirty_handlers,
                     std::vector<ParentResult>& results) {
-  ScoringContext base;
-  base.model = &model;
-  base.use_order_constraints = ws.opts->use_order_constraints;
-  base.sampling_rate = ws.opts->params.sampling_rate;
-  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
-    base.thread_match_bonus = ws.opts->thread_match_bonus;
-  }
-
   const std::size_t top_k = ws.opts->params.max_candidates_per_span;
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
     ParentTask& task = ws.tasks[t];
@@ -678,37 +650,19 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
       return;  // Scores unchanged since last iteration.
     }
     ws.pm->rank_tasks.Inc();
-    BuildPositionScores(ws, task, batch_rates[batch_of_task[t]], model,
-                        base);
-    ScoringContext ctx = base;
-    ctx.positions = &task.positions;
-    ctx.position_scores = &task.pos_scores;
-    const DelayModel::DistView response = model.View(
-        DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
-    ctx.response_dist = response.mixture;
-    ctx.response_max_log_pdf = response.max_log_pdf;
+    const ScoringContext ctx =
+        TaskContext(ws, task, batch_rates[batch_of_task[t]], model);
 
-    const std::size_t npos = task.positions.size();
+    // One batched LogPdf per gap-table column instead of one per
+    // (candidate, position); scores accumulate in ScoreCandidate's exact
+    // floating-point order, so they equal the scalar reference bitwise.
     const std::size_t n = task.all_candidates.size();
+    task.scores.resize(n);
+    task.lp_scratch.resize(n);
+    ScoreCandidatesBatch(task.gap_table, ctx, task.scores, task.lp_scratch);
     task.order.resize(n);
-    if (ws.fast_path) {
-      // One batched LogPdf per gap-table column instead of one per
-      // (candidate, position); scores accumulate in ScoreMappingFlat's
-      // exact floating-point order, so the ranking is bitwise unchanged.
-      task.scores.resize(n);
-      task.lp_scratch.resize(n);
-      ScoreCandidatesBatch(task.gap_table, ctx, task.scores,
-                           task.lp_scratch);
-      for (std::size_t c = 0; c < n; ++c) {
-        task.order[c] = {task.scores[c], static_cast<std::uint32_t>(c)};
-      }
-    } else {
-      for (std::size_t c = 0; c < n; ++c) {
-        task.order[c] = {
-            ScoreMappingFlat(*task.span, *task.plan,
-                             task.resolved.data() + c * npos, ctx),
-            static_cast<std::uint32_t>(c)};
-      }
+    for (std::size_t c = 0; c < n; ++c) {
+      task.order[c] = {task.scores[c], static_cast<std::uint32_t>(c)};
     }
     const std::size_t keep = std::min(top_k, n);
     std::partial_sort(
@@ -947,18 +901,6 @@ void SolveGreedy(const Workspace& ws, std::vector<ParentResult>& results) {
   }
 }
 
-/// Resolves a mapping's children to spans (cold paths only; the ranking
-/// hot path uses ParentTask::resolved).
-std::vector<const Span*> Resolve(const Workspace& ws,
-                                 const CandidateMapping& m) {
-  std::vector<const Span*> out;
-  out.reserve(m.children.size());
-  for (SpanId id : m.children) {
-    out.push_back(id == kSkippedChild ? nullptr : ws.span_by_id.at(id));
-  }
-  return out;
-}
-
 bool SameMixture(const GaussianMixture& a, const GaussianMixture& b) {
   if (a.num_components() != b.num_components()) return false;
   for (std::size_t i = 0; i < a.num_components(); ++i) {
@@ -982,15 +924,28 @@ std::vector<DelayKey> RefitModel(
     const Workspace& ws, const std::vector<ParentResult>& results,
     DelayModel& model,
     std::map<DelayKey, std::vector<double>>& last_fitted) {
+  // The chosen mapping's gaps are its gap-table row: the same values the
+  // ranking scored, in position order, then the response gap.
   std::map<DelayKey, std::vector<double>> gaps;
   for (std::size_t t = 0; t < ws.tasks.size(); ++t) {
     const ParentResult& r = results[t];
     if (!r.Mapped()) continue;
-    const CandidateMapping& m = r.ranked[static_cast<std::size_t>(r.chosen)];
-    const auto samples =
-        ExtractGaps(*ws.tasks[t].span, *ws.tasks[t].plan, Resolve(ws, m),
-                    ws.opts->use_order_constraints);
-    for (const GapSample& s : samples) gaps[s.key].push_back(s.gap);
+    const ParentTask& task = ws.tasks[t];
+    const CandidateGapTable& table = task.gap_table;
+    const std::size_t c =
+        task.order[static_cast<std::size_t>(r.chosen)].second;
+    for (std::size_t i = 0; i < task.positions.size(); ++i) {
+      const std::size_t slot = table.Slot(i, c);
+      if (table.filled[slot] == 0) continue;
+      gaps[DelayKey{task.span->callee, task.span->endpoint,
+                    static_cast<int>(task.positions[i].stage),
+                    static_cast<int>(task.positions[i].call)}]
+          .push_back(table.gaps[slot]);
+    }
+    if (table.any_child[c] != 0) {
+      gaps[DelayKey::ResponseGap(task.span->callee, task.span->endpoint)]
+          .push_back(table.response_gap[c]);
+    }
   }
 
   GmmFitOptions fit = ws.opts->gmm;
@@ -1060,28 +1015,16 @@ void FillExplain(Workspace& ws, const std::vector<ParentResult>& results,
   out.chosen_rank = r.chosen;
 
   // Rebuild the exact scoring context of the final ranking iteration.
-  ScoringContext ctx;
-  ctx.model = &model;
-  ctx.use_order_constraints = ws.opts->use_order_constraints;
-  if (ws.opts->thread_affinity == OptimizerOptions::ThreadAffinity::kSoft) {
-    ctx.thread_match_bonus = ws.opts->thread_match_bonus;
-  }
-  BuildPositionScores(ws, task, batch_rates[batch_of_task[t]], model, ctx);
-  ctx.positions = &task.positions;
-  ctx.position_scores = &task.pos_scores;
-  const DelayModel::DistView response = model.View(
-      DelayKey::ResponseGap(task.span->callee, task.span->endpoint));
-  ctx.response_dist = response.mixture;
-  ctx.response_max_log_pdf = response.max_log_pdf;
+  const ScoringContext ctx =
+      TaskContext(ws, task, batch_rates[batch_of_task[t]], model);
 
-  // Re-rank all enumerated candidates with the ranking comparator, so the
-  // explain rows carry the same ranks the optimizer saw.
+  // Re-rank all enumerated candidates with the scalar reference scorer and
+  // the ranking comparator, so the explain rows carry the same scores and
+  // ranks the optimizer saw.
   const std::size_t n = task.all_candidates.size();
-  const std::size_t npos = task.positions.size();
   std::vector<std::pair<double, std::uint32_t>> order(n);
   for (std::size_t c = 0; c < n; ++c) {
-    order[c] = {ScoreMappingFlat(*task.span, *task.plan,
-                                 task.resolved.data() + c * npos, ctx),
+    order[c] = {ScoreCandidate(task.gap_table, c, ctx),
                 static_cast<std::uint32_t>(c)};
   }
   std::sort(order.begin(), order.end(),
@@ -1103,8 +1046,16 @@ void FillExplain(Workspace& ws, const std::vector<ParentResult>& results,
     row.in_top_k = j < r.ranked.size();
     row.skips = m.skips;
     row.children = m.children;
-    row.breakdown =
-        ExplainMapping(*task.span, *task.plan, Resolve(ws, m), ctx);
+    ScoreCandidate(task.gap_table, order[j].second, ctx, &row.breakdown);
+    for (std::size_t i = 0; i < task.positions.size(); ++i) {
+      ScoreBreakdown::Position& p = row.breakdown.positions[i];
+      const BackendCall& call = task.plan->At(task.positions[i]);
+      p.stage = task.positions[i].stage;
+      p.call = task.positions[i].call;
+      p.service = call.service;
+      p.endpoint = call.endpoint;
+      p.child = m.children[i];
+    }
     out.candidates.push_back(std::move(row));
   }
 
@@ -1169,13 +1120,12 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   ContainerResult result;
   result.instance = view.instance;
 
-  ws.fast_path = options.fast_data_path;
   {
     auto t = timer(obs::Stage::kSetup);
     BuildPools(ws);
     BuildTasks(ws);
     if (!ws.tasks.empty()) DetectDynamism(ws);
-    if (ws.fast_path && !ws.tasks.empty()) {
+    if (!ws.tasks.empty()) {
       // Pool spans are final after task construction (interning done), so
       // the SoA columns can be extracted once for the whole optimization.
       ws.pool_columns.resize(ws.pools.size());

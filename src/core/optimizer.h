@@ -53,15 +53,6 @@ struct OptimizerOptions {
   /// Enable §4.2 skip-span handling when discrepancies are observed.
   bool enable_dynamism = true;
 
-  /// Fast single-thread data path: structure-of-arrays pool columns for
-  /// the window scans, per-task candidate gap tables scored with batched
-  /// LogPdf calls, and per-worker arena-backed enumeration scratch.
-  /// Assignments, ranked scores and quality grades are bit-identical with
-  /// the toggle on or off -- the batch path accumulates every score in
-  /// exactly ScoreMappingFlat's floating-point order (see DESIGN.md §4g).
-  /// Off exists for A/B verification and as a debugging fallback.
-  bool fast_data_path = true;
-
   /// Thread-affinity hints (§7 future work). kSoft adds a ranking bonus to
   /// children sent from the parent's pickup thread; kHard prunes all other
   /// children (only sound under the vPath threading model).

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 
 #include "core/candidates.h"
 #include "test_helpers.h"
@@ -208,51 +209,89 @@ TEST_F(CandidatesTest, ScoringPrefersTypicalGaps) {
 
   std::vector<Span> owned{Child(10, "B", 2000, 3000),   // Gap 1000: typical.
                           Child(11, "B", 5000, 6000)};  // Gap 4000: unusual.
+  const std::vector<const Span*> resolved{&owned[0], &owned[1]};
+  const CandidateGapTable table = BuildGapTable(
+      parent_, plan.Positions(), resolved.data(), 2, true);
+
+  const DelayModel::DistView view = model.View(DelayKey{"A", "/a", 0, 0});
+  const DelayModel::DistView response =
+      model.View(DelayKey::ResponseGap("A", "/a"));
+  const std::vector<ScoringContext::PositionScore> terms{
+      {-6.0, 0.0, view.mixture, view.max_log_pdf}};
   ScoringContext ctx;
-  ctx.model = &model;
-  const double good =
-      ScoreMapping(parent_, plan, {&owned[0]}, ctx);
-  const double bad =
-      ScoreMapping(parent_, plan, {&owned[1]}, ctx);
+  ctx.position_scores = &terms;
+  ctx.response_dist = response.mixture;
+  ctx.response_max_log_pdf = response.max_log_pdf;
+  const double good = ScoreCandidate(table, 0, ctx);
+  const double bad = ScoreCandidate(table, 1, ctx);
   EXPECT_GT(good, bad);
+
+  // The batch scorer reproduces the scalar reference bit for bit.
+  std::vector<double> scores(2), scratch(2);
+  ScoreCandidatesBatch(table, ctx, scores, scratch);
+  EXPECT_EQ(scores[0], good);
+  EXPECT_EQ(scores[1], bad);
 }
 
 TEST_F(CandidatesTest, SkipRateShapesSkipPenalty) {
-  DelayModel model;
   InvocationPlan plan;
   plan.stages.push_back(Stage{{{"B", "/b", false}}});
+  const std::vector<const Span*> resolved{nullptr};
+  const CandidateGapTable table =
+      BuildGapTable(parent_, plan.Positions(), resolved.data(), 1, true);
 
-  std::map<std::pair<std::string, std::string>, double> high_rate{
-      {{"B", "/b"}, 0.5}};
-  std::map<std::pair<std::string, std::string>, double> low_rate{
-      {{"B", "/b"}, 0.01}};
-
+  // Per-backend skip rates enter as log(rate) / log(1 - rate) terms.
+  std::vector<ScoringContext::PositionScore> terms{
+      {std::log(0.5), std::log(0.5), nullptr, 0.0}};
   ScoringContext ctx;
-  ctx.model = &model;
-  ctx.skip_rates = &high_rate;
-  const double cheap_skip = ScoreMapping(parent_, plan, {nullptr}, ctx);
-  ctx.skip_rates = &low_rate;
-  const double dear_skip = ScoreMapping(parent_, plan, {nullptr}, ctx);
+  ctx.position_scores = &terms;
+  const double cheap_skip = ScoreCandidate(table, 0, ctx);
+  terms[0].skip_lp = std::log(0.01);
+  terms[0].keep_lp = std::log(0.99);
+  const double dear_skip = ScoreCandidate(table, 0, ctx);
   EXPECT_GT(cheap_skip, dear_skip);
+  // An all-skip candidate has no response term: just log(rate) + margin.
+  EXPECT_EQ(cheap_skip, std::log(0.5) + ctx.skip_margin);
+  EXPECT_EQ(dear_skip, std::log(0.01) + ctx.skip_margin);
 }
 
-TEST_F(CandidatesTest, ExtractGapsMatchesScoringTriggers) {
+TEST_F(CandidatesTest, GapTableMatchesScoringTriggers) {
   std::vector<Span> owned{Child(10, "B", 2000, 3000),
                           Child(11, "C", 4000, 5000)};
   auto plan = SequentialPlan();
-  auto gaps = ExtractGaps(parent_, plan, {&owned[0], &owned[1]}, true);
-  ASSERT_EQ(gaps.size(), 3u);  // B gap, C gap, response gap.
-  EXPECT_DOUBLE_EQ(gaps[0].gap, 1000.0);  // 2000 - 1000 (parent recv).
-  EXPECT_DOUBLE_EQ(gaps[1].gap, 1000.0);  // 4000 - 3000 (B's completion).
-  EXPECT_DOUBLE_EQ(gaps[2].gap, 4000.0);  // 9000 - 5000.
-  EXPECT_EQ(gaps[2].key.stage, -1);
+  const std::vector<const Span*> resolved{&owned[0], &owned[1]};
+  const CandidateGapTable t =
+      BuildGapTable(parent_, plan.Positions(), resolved.data(), 1, true);
+  ASSERT_EQ(t.num_positions, 2u);  // B gap, C gap, plus the response gap.
+  EXPECT_EQ(t.filled[t.Slot(0, 0)], 1);
+  EXPECT_EQ(t.filled[t.Slot(1, 0)], 1);
+  // B: 2000 - 1000 (parent recv); C: 4000 - 3000 (B's completion).
+  EXPECT_DOUBLE_EQ(t.gaps[t.Slot(0, 0)], 1000.0);
+  EXPECT_DOUBLE_EQ(t.gaps[t.Slot(1, 0)], 1000.0);
+  EXPECT_EQ(t.any_child[0], 1);
+  EXPECT_DOUBLE_EQ(t.response_gap[0], 4000.0);  // 9000 - 5000.
+
+  // Order constraints off (ablation): every call is timed from the parent
+  // arrival.
+  const CandidateGapTable flat =
+      BuildGapTable(parent_, plan.Positions(), resolved.data(), 1, false);
+  EXPECT_DOUBLE_EQ(flat.gaps[flat.Slot(0, 0)], 1000.0);  // 2000 - 1000.
+  EXPECT_DOUBLE_EQ(flat.gaps[flat.Slot(1, 0)], 3000.0);  // 4000 - 1000.
+  EXPECT_DOUBLE_EQ(flat.response_gap[0], 4000.0);
 }
 
-TEST_F(CandidatesTest, ExtractGapsSkipsSkippedPositions) {
+TEST_F(CandidatesTest, GapTableSkipsSkippedPositions) {
   auto plan = SequentialPlan();
   std::vector<Span> owned{Child(10, "B", 2000, 3000)};
-  auto gaps = ExtractGaps(parent_, plan, {&owned[0], nullptr}, true);
-  ASSERT_EQ(gaps.size(), 2u);  // B gap + response gap only.
+  const std::vector<const Span*> resolved{&owned[0], nullptr};
+  const CandidateGapTable t =
+      BuildGapTable(parent_, plan.Positions(), resolved.data(), 1, true);
+  // B gap + response gap only.
+  EXPECT_EQ(t.filled[t.Slot(0, 0)], 1);
+  EXPECT_EQ(t.filled[t.Slot(1, 0)], 0);
+  EXPECT_DOUBLE_EQ(t.gaps[t.Slot(1, 0)], 0.0);
+  EXPECT_EQ(t.any_child[0], 1);
+  EXPECT_DOUBLE_EQ(t.response_gap[0], 6000.0);  // 9000 - 3000.
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include "callgraph/inference.h"
 #include "core/accuracy.h"
+#include "core/explain.h"
 #include "core/trace_weaver.h"
 #include "sim/apps.h"
 #include "sim/workload.h"
@@ -18,7 +19,7 @@ struct Fixture {
   CallGraph graph;
 };
 
-Fixture MakeFixture(double rps, std::uint64_t seed = 41) {
+Fixture MakeFixture(double rps, std::uint64_t seed = 41, double seconds = 2) {
   Fixture f;
   sim::AppSpec app = sim::MakeHotelReservationApp();
   sim::IsolatedReplayOptions iso;
@@ -26,7 +27,7 @@ Fixture MakeFixture(double rps, std::uint64_t seed = 41) {
   f.graph = InferCallGraph(sim::RunIsolatedReplay(app, iso).spans);
   sim::OpenLoopOptions load;
   load.requests_per_sec = rps;
-  load.duration = Seconds(2);
+  load.duration = Seconds(seconds);
   load.seed = seed;
   f.spans = sim::RunOpenLoop(app, load).spans;
   return f;
@@ -110,6 +111,41 @@ TEST(Pinned, WrongPinsAreHonoredNotSecondGuessed) {
   TraceWeaver weaver(f.graph, opts);
   const auto out = weaver.Reconstruct(f.spans);
   EXPECT_EQ(out.assignment.at(child), 999999999ull);
+}
+
+// The explain drill-down scores against exactly the terms the ranking
+// used. A position whose pool holds only pinned children has no observed
+// skip rate, so its fallback skip/keep terms carry the sampling adjustment
+// -- in the ranking and in the explain rows alike.
+TEST(Pinned, ExplainMatchesRankedScoresUnderSampling) {
+  Fixture f = MakeFixture(200, 41, /*seconds=*/1);
+  const ParentAssignment pinned = PinService(f.spans, "frontend");
+  TraceWeaverOptions opts;
+  opts.optimizer.pinned = &pinned;
+  opts.optimizer.params.sampling_rate = 0.5;
+  const auto out = TraceWeaver(f.graph, opts).Reconstruct(f.spans);
+
+  std::size_t checked = 0;
+  for (const ContainerResult& c : out.containers) {
+    if (c.instance.service != "frontend") continue;
+    for (const ParentResult& r : c.parents) {
+      if (!r.Mapped() || checked == 8) continue;
+      ExplainCapture capture;
+      TraceWeaverOptions explain = opts;
+      explain.optimizer.explain_parent = r.parent;
+      explain.optimizer.explain_out = &capture;
+      TraceWeaver(f.graph, explain).Reconstruct(f.spans);
+      ASSERT_TRUE(capture.found);
+      ASSERT_GE(capture.candidates.size(), r.ranked.size());
+      for (std::size_t j = 0; j < r.ranked.size(); ++j) {
+        EXPECT_EQ(capture.candidates[j].score, r.ranked[j].score)
+            << "parent " << r.parent << " rank " << j;
+        EXPECT_EQ(capture.candidates[j].children, r.ranked[j].children);
+      }
+      ++checked;
+    }
+  }
+  EXPECT_EQ(checked, 8u);
 }
 
 class PinSweep : public ::testing::TestWithParam<double> {};
