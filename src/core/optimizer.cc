@@ -104,12 +104,10 @@ struct Workspace {
   const obs::PipelineMetrics* pm = nullptr;
 
   PoolTable pools;
-  /// Structure-of-arrays columns per pool id (timestamps, thread ids,
-  /// interned names), built once after the pools settle; the window scans
-  /// and seed-series loops walk these contiguous arrays instead of chasing
-  /// Span pointers.
+  /// Client-timestamp columns per pool id, built once after the pools
+  /// settle; the window scans and seed-series loops walk these contiguous
+  /// arrays instead of chasing Span pointers.
   std::vector<SpanColumns> pool_columns;
-  NameInterner names;
   std::unordered_map<SpanId, const Span*> span_by_id;
   std::vector<ParentTask> tasks;       ///< Sorted by SpanStartOrder.
   std::vector<const Span*> task_spans; ///< Parallel to tasks, for batching.
@@ -1126,11 +1124,11 @@ ContainerResult OptimizeContainer(const ContainerView& view,
     BuildTasks(ws);
     if (!ws.tasks.empty()) DetectDynamism(ws);
     if (!ws.tasks.empty()) {
-      // Pool spans are final after task construction (interning done), so
-      // the SoA columns can be extracted once for the whole optimization.
+      // Pool spans are final after task construction, so the SoA columns
+      // can be extracted once for the whole optimization.
       ws.pool_columns.resize(ws.pools.size());
       for (std::size_t p = 0; p < ws.pools.size(); ++p) {
-        ws.pool_columns[p].Build(ws.pools.spans[p], &ws.names);
+        ws.pool_columns[p].Build(ws.pools.spans[p]);
       }
     }
   }

@@ -133,13 +133,6 @@ void SkewEstimator::ObserveGaps(const VantageKey& caller,
   frames_valid_ = false;
 }
 
-std::int64_t SkewEstimator::PairOffsetNs(const VantageKey& caller,
-                                         const VantageKey& callee) const {
-  const auto it = pairs_.find({caller, callee});
-  if (it == pairs_.end()) return 0;
-  return it->second.OffsetNs(options_.min_samples);
-}
-
 void SkewEstimator::SolveFrames() const {
   frames_.clear();
   // Pairwise offsets are edges d_AB = f_B - f_A of an undirected graph

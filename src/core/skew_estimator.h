@@ -121,10 +121,6 @@ class SkewEstimator : public SkewObserver {
   void ObserveGaps(const VantageKey& caller, const VantageKey& callee,
                    std::int64_t request_gap_ns, std::int64_t response_gap_ns);
 
-  /// Offset of `callee`'s clock relative to `caller`'s; 0 when unknown.
-  std::int64_t PairOffsetNs(const VantageKey& caller,
-                            const VantageKey& callee) const;
-
   /// Global frame offset of vantage `v` (subtract from every timestamp
   /// stamped at `v` to enter the common frame); 0 when unknown. Lazily
   /// re-solves the frame graph after new observations.

@@ -368,14 +368,6 @@ ExpBatchFn ResolveExpBatch() {
   return ExpBatchScalar;
 }
 
-bool ExpBatchUsesSimd() {
-#ifdef TRACEWEAVER_EXP_FMA_VARIANT
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-#else
-  return false;
-#endif
-}
-
 LogBatchFn ResolveLogBatch() {
 #ifdef TRACEWEAVER_EXP_FMA_VARIANT
   if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {

@@ -40,9 +40,6 @@ inline void ExpBatch(const double* in, double* out, std::size_t n) {
   fn(in, out, n);
 }
 
-/// True when the AVX2+FMA variant was selected at startup.
-bool ExpBatchUsesSimd();
-
 using LogBatchFn = void (*)(const double*, double*, std::size_t);
 
 /// Resolves the log implementation variant (called once; prefer LogBatch).

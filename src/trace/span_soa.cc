@@ -2,49 +2,12 @@
 
 namespace traceweaver {
 
-std::uint32_t NameInterner::Intern(std::string_view name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
-  const auto id = static_cast<std::uint32_t>(names_.size());
-  names_.emplace_back(name);
-  ids_.emplace(std::string_view(names_.back()), id);
-  return id;
-}
-
-std::uint32_t NameInterner::Find(std::string_view name) const {
-  auto it = ids_.find(name);
-  return it == ids_.end() ? kUnknown : it->second;
-}
-
-void SpanColumns::Build(std::span<const Span* const> src,
-                        NameInterner* names) {
-  const std::size_t n = src.size();
-  client_send.resize(n);
-  client_recv.resize(n);
-  server_recv.resize(n);
-  server_send.resize(n);
-  caller_thread.resize(n);
-  ids.resize(n);
-  if (names != nullptr) {
-    callee_ids.resize(n);
-    endpoint_ids.resize(n);
-  } else {
-    callee_ids.clear();
-    endpoint_ids.clear();
-  }
-  spans.assign(src.begin(), src.end());
-  for (std::size_t i = 0; i < n; ++i) {
-    const Span& s = *src[i];
-    client_send[i] = s.client_send;
-    client_recv[i] = s.client_recv;
-    server_recv[i] = s.server_recv;
-    server_send[i] = s.server_send;
-    caller_thread[i] = s.caller_thread;
-    ids[i] = s.id;
-    if (names != nullptr) {
-      callee_ids[i] = names->Intern(s.callee);
-      endpoint_ids[i] = names->Intern(s.endpoint);
-    }
+void SpanColumns::Build(std::span<const Span* const> src) {
+  client_send.resize(src.size());
+  client_recv.resize(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    client_send[i] = src[i]->client_send;
+    client_recv[i] = src[i]->client_recv;
   }
 }
 

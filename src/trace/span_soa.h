@@ -1,75 +1,36 @@
-// Structure-of-arrays span views for the reconstruction hot path.
+// Structure-of-arrays span view for the reconstruction hot path.
 //
-// The optimizer's inner loops (candidate gap extraction, seed-series
-// construction, batch-window scans) touch only a few fields of each Span --
-// the four timestamps, the thread ids -- yet the AoS layout drags the
+// The optimizer's window scans and seed-series loops read only the client
+// timestamps of each candidate-pool span, yet the AoS layout drags the
 // whole ~150-byte record (strings included) through the cache per span.
-// SpanColumns transposes a span sequence into contiguous per-field arrays
-// so those loops stream exactly the bytes they need; NameInterner maps the
-// (service, endpoint) strings to dense ids once so hot paths compare
-// integers instead of strings.
+// SpanColumns copies those two fields of an ordered span sequence into
+// contiguous arrays so the loops stream exactly the bytes they need.
 //
-// Both are pure views: they copy field values out of the source spans and
-// never mutate them, so building (or skipping) a view cannot change any
-// reconstruction result.
+// It is a pure view: it copies field values out of the source spans and
+// never mutates them, so building it cannot change any reconstruction
+// result.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <deque>
 #include <span>
-#include <string>
-#include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/span.h"
 
 namespace traceweaver {
 
-/// Dense string interner with stable ids and stable name storage.
-/// Not thread-safe; intern during single-threaded setup, read anywhere.
-class NameInterner {
- public:
-  /// Returns the id for `name`, assigning the next dense id on first use.
-  std::uint32_t Intern(std::string_view name);
-
-  /// Looks up without interning; returns kUnknown when never interned.
-  std::uint32_t Find(std::string_view name) const;
-
-  const std::string& Name(std::uint32_t id) const { return names_[id]; }
-  std::size_t size() const { return names_.size(); }
-
-  static constexpr std::uint32_t kUnknown = 0xffffffffu;
-
- private:
-  // Keys view into `names_`; deque never moves settled elements.
-  std::unordered_map<std::string_view, std::uint32_t> ids_;
-  std::deque<std::string> names_;
-};
-
-/// Contiguous per-field columns for one ordered span sequence (e.g. one
+/// Client-timestamp columns for one ordered span sequence (e.g. one
 /// candidate pool, sorted by client_send). Column index i corresponds to
-/// spans[i]; `spans` keeps the back-pointers for code that still needs the
-/// full record.
+/// the i-th source span.
 struct SpanColumns {
   std::vector<TimeNs> client_send;
   std::vector<TimeNs> client_recv;
-  std::vector<TimeNs> server_recv;
-  std::vector<TimeNs> server_send;
-  std::vector<std::int32_t> caller_thread;
-  std::vector<SpanId> ids;
-  /// Interned callee / endpoint ids; filled only when `names` is given to
-  /// Build, else left empty.
-  std::vector<std::uint32_t> callee_ids;
-  std::vector<std::uint32_t> endpoint_ids;
-  std::vector<const Span*> spans;
 
-  /// Rebuilds every column from `src` (previous contents discarded).
-  void Build(std::span<const Span* const> src, NameInterner* names = nullptr);
+  /// Rebuilds both columns from `src` (previous contents discarded).
+  void Build(std::span<const Span* const> src);
 
-  std::size_t size() const { return spans.size(); }
-  bool empty() const { return spans.empty(); }
+  std::size_t size() const { return client_send.size(); }
+  bool empty() const { return client_send.empty(); }
 };
 
 }  // namespace traceweaver

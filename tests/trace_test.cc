@@ -163,72 +163,38 @@ TEST(JsonlIo, StreamRoundTripSkipsBadLines) {
   EXPECT_EQ(read[1].callee, "B");
 }
 
-TEST(SpanColumns, BuildMirrorsEverySpanField) {
+TEST(SpanColumns, BuildMirrorsClientTimestamps) {
   std::vector<Span> owned{MakeSpan(7, "A", "B", "/b", 1000, 5000),
                           MakeSpan(3, "A", "C", "/c", 2000, 3000),
                           MakeSpan(9, "A", "B", "/x", 2500, 8000)};
-  owned[0].caller_thread = 4;
-  owned[1].caller_thread = -1;
-  owned[2].caller_thread = 11;
   const std::vector<const Span*> src{&owned[0], &owned[1], &owned[2]};
 
-  NameInterner names;
   SpanColumns col;
-  col.Build(src, &names);
-  ASSERT_EQ(col.size(), src.size());
-  ASSERT_EQ(col.callee_ids.size(), src.size());
-  ASSERT_EQ(col.endpoint_ids.size(), src.size());
-  for (std::size_t i = 0; i < src.size(); ++i) {
-    const Span& s = *src[i];
-    EXPECT_EQ(col.client_send[i], s.client_send);
-    EXPECT_EQ(col.client_recv[i], s.client_recv);
-    EXPECT_EQ(col.server_recv[i], s.server_recv);
-    EXPECT_EQ(col.server_send[i], s.server_send);
-    EXPECT_EQ(col.caller_thread[i], s.caller_thread);
-    EXPECT_EQ(col.ids[i], s.id);
-    EXPECT_EQ(col.spans[i], src[i]);
-    EXPECT_EQ(names.Name(col.callee_ids[i]), s.callee);
-    EXPECT_EQ(names.Name(col.endpoint_ids[i]), s.endpoint);
-  }
-  // Equal names share one id: two spans call B.
-  EXPECT_EQ(col.callee_ids[0], col.callee_ids[2]);
-  EXPECT_NE(col.callee_ids[0], col.callee_ids[1]);
-  EXPECT_EQ(names.Find("B"), col.callee_ids[0]);
-  EXPECT_EQ(names.Find("nope"), NameInterner::kUnknown);
-}
-
-TEST(SpanColumns, BuildWithoutInternerLeavesNameColumnsEmpty) {
-  std::vector<Span> owned{MakeSpan(1, "A", "B", "/b", 10, 20)};
-  const std::vector<const Span*> src{&owned[0]};
-  NameInterner names;
-  SpanColumns col;
-  col.Build(src, &names);
-  ASSERT_EQ(col.callee_ids.size(), 1u);
-  // A rebuild replaces every column, name columns included.
   col.Build(src);
-  EXPECT_EQ(col.size(), 1u);
-  EXPECT_EQ(col.client_send[0], owned[0].client_send);
-  EXPECT_TRUE(col.callee_ids.empty());
-  EXPECT_TRUE(col.endpoint_ids.empty());
+  ASSERT_EQ(col.size(), src.size());
+  ASSERT_EQ(col.client_recv.size(), src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    EXPECT_EQ(col.client_send[i], src[i]->client_send);
+    EXPECT_EQ(col.client_recv[i], src[i]->client_recv);
+  }
+  // A rebuild replaces both columns.
+  const std::vector<const Span*> second{&owned[1]};
+  col.Build(second);
+  ASSERT_EQ(col.size(), 1u);
+  EXPECT_EQ(col.client_send[0], owned[1].client_send);
+  EXPECT_EQ(col.client_recv[0], owned[1].client_recv);
 }
 
 TEST(SpanColumns, EmptyInput) {
   std::vector<Span> owned{MakeSpan(1, "A", "B", "/b", 10, 20)};
   const std::vector<const Span*> one{&owned[0]};
-  NameInterner names;
   SpanColumns col;
-  col.Build(one, &names);
-  col.Build({}, &names);
+  col.Build(one);
+  col.Build({});
   EXPECT_TRUE(col.empty());
   EXPECT_EQ(col.size(), 0u);
   EXPECT_TRUE(col.client_send.empty());
   EXPECT_TRUE(col.client_recv.empty());
-  EXPECT_TRUE(col.server_recv.empty());
-  EXPECT_TRUE(col.server_send.empty());
-  EXPECT_TRUE(col.caller_thread.empty());
-  EXPECT_TRUE(col.ids.empty());
-  EXPECT_TRUE(col.callee_ids.empty());
-  EXPECT_TRUE(col.endpoint_ids.empty());
 }
 
 }  // namespace

@@ -1,62 +1,8 @@
-// traceweaver — command-line driver for the span-ingestion workflow (§5.3
-// offline mode).
-//
-//   traceweaver simulate <app> <rps> <seconds> [seed]   spans JSONL -> stdout
-//   traceweaver replay <app> [requests_per_root]        isolated-replay spans
-//   traceweaver inject-faults [flags] <spans.jsonl>     corrupted JSONL
-//   traceweaver infer-graph <spans.jsonl>               call graph -> stdout
-//   traceweaver reconstruct <graph.txt> <spans.jsonl>   assignment JSONL
-//   traceweaver evaluate <graph.txt> <spans.jsonl>      accuracy vs ground
-//                                                       truth in the file
-//   traceweaver export-jaeger <graph.txt> <spans.jsonl> Jaeger UI JSON
-//   traceweaver explain <graph.txt> <spans.jsonl> <id>  candidate table for
-//                                                       one parent span
-//   traceweaver serve <graph.txt> <spans.jsonl>         streaming online
-//                                                       mode (§5.3) with
-//                                                       bounded memory,
-//                                                       overload ladder and
-//                                                       checkpoint/restore;
-//                                                       --store-dir commits
-//                                                       settled traces to a
-//                                                       queryable store and
-//                                                       --http-port serves
-//                                                       the query API
-//                                                       (docs/API.md)
-//   traceweaver query <store-dir> [trace_id]            query a trace store
-//                                                       offline: summaries
-//                                                       (filters below), a
-//                                                       full record by id,
-//                                                       or --full records
-//   traceweaver sort-spans <spans.jsonl>                completion-ordered
-//                                                       JSONL -> stdout (a
-//                                                       live collector's
-//                                                       arrival order; feed
-//                                                       this to serve)
-//
-// The reconstruction commands accept --threads=N (default: all hardware
-// threads); reconstruction output is bit-identical for every N. Every
-// span-loading command runs the ingestion validator (span_validator.h):
-//   --ingest=MODE         lenient (default: repair and keep), strict
-//                         (quarantine anything inconsistent), off
-//   --auto-slack          apply the validator's suggested
-//                         constraint_slack_ns (derived from observed
-//                         capture-clock skew) to reconstruction
-//   --skew-correct        estimate per-vantage clock offsets
-//                         (core/skew_estimator.h) and rewrite all
-//                         timestamps into one frame before running
-//   --per-edge-slack      per-edge feasibility slack from the observed
-//                         skew spread (implies --skew-correct)
-// They also accept observability flags (docs/METRICS.md):
-//   --report              print a run report (stage times, pipeline
-//                         counters) to stderr after reconstruction
-//   --report-json=FILE    write the run report as JSON to FILE
-//   --metrics-out=FILE    write all metrics in Prometheus text format
-//   --profile-stages      print the pipeline stage timers, sorted by
-//                         self-CPU, to stderr after the run
-//
-// `simulate` and `inject-faults` take fault-injection flags
-// (sim/fault_injector.h): --drop=P --dup=P --skew-ns=N --truncate-ns=N
-// --garble=P --fault-seed=S.
+// traceweaver — command-line driver for the span-ingestion workflow: the
+// simulators, offline reconstruction and evaluation (§5.3 offline mode),
+// the streaming `serve` front end of serve/pipeline.h (§5.3 online mode)
+// and offline access to its trace store. Usage() below is the reference
+// for every command and flag; docs/OPERATIONS.md covers running `serve`.
 //
 // Apps: hotel | media | nodejs | chain | ab. Spans JSONL written by
 // `simulate`/`replay` carries ground truth so `evaluate` can score
@@ -64,10 +10,14 @@
 #include <algorithm>
 #include <atomic>
 #include <cctype>
+#include <cfloat>
+#include <charconv>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -90,8 +40,7 @@
 #include "obs/provenance.h"
 #include "serve/http_server.h"
 #include "serve/query_service.h"
-#include "serve/self_trace.h"
-#include "serve/serve_checkpoint.h"
+#include "serve/pipeline.h"
 #include "sim/apps.h"
 #include "sim/fault_injector.h"
 #include "sim/workload.h"
@@ -253,27 +202,17 @@ struct CliFlags {
   sim::FaultSpec faults;
 
   // --- serve (streaming online mode) ---
-  long long window_ms = 2000;
-  long long margin_ms = 500;
-  long long deadline_ms = 0;          ///< 0 = degradation ladder off.
-  std::size_t max_buffer_spans = 0;   ///< 0 = unbounded.
-  std::size_t max_buffer_bytes = 0;   ///< 0 = unbounded.
-  std::string checkpoint_dir;         ///< "" = checkpointing off.
-  std::size_t checkpoint_every = 2000;
+  /// Windowing, store, sampler, provenance, self-trace and checkpoint
+  /// settings; the store options also serve `query` / `provenance`.
+  serve::PipelineOptions serve;
   bool resume = false;
   int retries = 5;
   bool final_only = false;  ///< Emit only the EOF assignment union.
 
-  // --- trace store + HTTP query API (serve), query subcommand ---
-  std::string store_dir;              ///< "" = store off.
-  std::size_t store_segment_traces = 256;
-  std::size_t cache_traces = 128;
+  // --- HTTP query API (serve), query subcommand ---
   int http_port = -1;                 ///< < 0 = HTTP off; 0 = ephemeral.
   std::size_t http_threads = 4;
   bool linger = false;   ///< Keep serving HTTP after EOF until a signal.
-  bool no_provenance = false;  ///< serve: decision ledger off.
-  bool self_trace = false;     ///< serve: per-window pipeline self traces.
-  double tail_sample = -1.0;   ///< serve: boring-trace keep rate (< 0 = off).
   std::string q_service;              ///< query: --service=.
   long long q_from = std::numeric_limits<long long>::min();
   long long q_to = std::numeric_limits<long long>::max();
@@ -287,34 +226,60 @@ struct CliFlags {
   }
 };
 
-/// Consumes leading flag arguments (any order), shifting argv.
-CliFlags ParseFlags(int& argc, char**& argv) {
-  CliFlags flags;
-  const auto num = [](const std::string& arg, std::size_t prefix) {
-    return std::strtoull(arg.c_str() + prefix, nullptr, 10);
-  };
-  const auto prob = [](const std::string& arg, std::size_t prefix) {
-    return std::atof(arg.c_str() + prefix);
-  };
-  while (argc > 1) {
+/// Consumes leading flag arguments (any order), shifting argv. An
+/// unknown flag, or a value that is malformed or out of range, is a
+/// usage error: prints one line naming the flag and returns false.
+bool ParseFlags(int& argc, char**& argv, CliFlags& flags) {
+  while (argc > 1 && std::strncmp(argv[1], "--", 2) == 0) {
     const std::string arg = argv[1];
-    if (arg.rfind("--threads=", 0) == 0) {
-      flags.threads = static_cast<std::size_t>(num(arg, 10));
-      if (flags.threads == 0) flags.threads = 1;
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string value =
+        eq == std::string::npos ? "" : arg.substr(eq + 1);
+    const auto has = [&](const char* flag) {  // --flag=value
+      return eq != std::string::npos && name == flag;
+    };
+    std::string expected;  // Set when the value is rejected.
+    // The whole value as a number in [lo, hi], else `expected` = `what`.
+    const auto number = [&](auto lo, auto hi, const char* what) {
+      decltype(lo) v{};
+      const char* last = value.data() + value.size();
+      const auto [end, ec] = std::from_chars(value.data(), last, v);
+      if (ec != std::errc() || end != last || !(v >= lo && v <= hi)) {
+        expected = what;
+      }
+      return v;
+    };
+    const auto count = [&] {
+      return number(0LL, LLONG_MAX, "a non-negative integer");
+    };
+    const auto prob = [&] {
+      return number(0.0, 1.0, "a probability in [0, 1]");
+    };
+    // Up to ~106 days, so sums of durations stay inside DurationNs.
+    const auto millis = [&] {
+      return Millis(static_cast<double>(number(
+          0LL, std::numeric_limits<DurationNs>::max() / 1'000'000'000,
+          "a duration in milliseconds")));
+    };
+    serve::PipelineOptions& sv = flags.serve;
+    if (has("--threads")) {
+      flags.threads = std::max<std::size_t>(1, count());
     } else if (arg == "--report") {
       flags.report = true;
     } else if (arg == "--profile-stages") {
       flags.profile_stages = true;
-    } else if (arg.rfind("--report-json=", 0) == 0) {
-      flags.report_json = arg.substr(14);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      flags.metrics_out = arg.substr(14);
-    } else if (arg == "--ingest=lenient") {
-      flags.ingest = IngestMode::kLenient;
-    } else if (arg == "--ingest=strict") {
-      flags.ingest = IngestMode::kStrict;
-    } else if (arg == "--ingest=off") {
-      flags.ingest = IngestMode::kOff;
+    } else if (has("--report-json")) {
+      flags.report_json = value;
+    } else if (has("--metrics-out")) {
+      flags.metrics_out = value;
+    } else if (has("--ingest")) {
+      flags.ingest = value == "strict" ? IngestMode::kStrict
+                     : value == "off"  ? IngestMode::kOff
+                                       : IngestMode::kLenient;
+      if (value != "lenient" && value != "strict" && value != "off") {
+        expected = "lenient, strict or off";
+      }
     } else if (arg == "--auto-slack") {
       flags.auto_slack = true;
     } else if (arg == "--skew-correct") {
@@ -325,100 +290,100 @@ CliFlags ParseFlags(int& argc, char**& argv) {
       flags.skew_correct = true;
     } else if (arg == "--quality") {
       flags.quality = true;
-    } else if (arg.rfind("--min-confidence=", 0) == 0) {
-      flags.min_confidence = prob(arg, 17);
+    } else if (has("--min-confidence")) {
+      flags.min_confidence = number(-DBL_MAX, DBL_MAX, "a number");
       flags.quality = true;
     } else if (arg == "--json") {
       flags.json = true;
-    } else if (arg.rfind("--sampling-rate=", 0) == 0) {
-      flags.sampling_rate = prob(arg, 16);
-      if (flags.sampling_rate <= 0.0 || flags.sampling_rate > 1.0) {
-        flags.sampling_rate = 1.0;
-      }
-    } else if (arg.rfind("--twin-window-ns=", 0) == 0) {
-      flags.twin_window_ns = static_cast<long long>(num(arg, 17));
-    } else if (arg.rfind("--drop=", 0) == 0) {
-      flags.faults.drop_rate = prob(arg, 7);
-    } else if (arg.rfind("--dup=", 0) == 0) {
-      flags.faults.duplicate_rate = prob(arg, 6);
-    } else if (arg.rfind("--skew-ns=", 0) == 0) {
-      flags.faults.skew_stddev_ns = static_cast<DurationNs>(num(arg, 10));
-    } else if (arg.rfind("--truncate-ns=", 0) == 0) {
-      flags.faults.truncate_granularity_ns =
-          static_cast<DurationNs>(num(arg, 14));
-    } else if (arg.rfind("--garble=", 0) == 0) {
-      flags.faults.garble_rate = prob(arg, 9);
-    } else if (arg.rfind("--head-sample=", 0) == 0) {
-      flags.faults.head_sample_rate = prob(arg, 14);
-    } else if (arg.rfind("--span-sample=", 0) == 0) {
-      flags.faults.tail_sample_rate = prob(arg, 14);
-    } else if (arg.rfind("--fault-seed=", 0) == 0) {
-      flags.faults.seed = num(arg, 13);
-    } else if (arg.rfind("--window-ms=", 0) == 0) {
-      flags.window_ms = static_cast<long long>(num(arg, 12));
-    } else if (arg.rfind("--margin-ms=", 0) == 0) {
-      flags.margin_ms = static_cast<long long>(num(arg, 12));
-    } else if (arg.rfind("--deadline-ms=", 0) == 0) {
-      flags.deadline_ms = static_cast<long long>(num(arg, 14));
-    } else if (arg.rfind("--max-buffer-spans=", 0) == 0) {
-      flags.max_buffer_spans = static_cast<std::size_t>(num(arg, 19));
-    } else if (arg.rfind("--max-buffer-bytes=", 0) == 0) {
-      flags.max_buffer_bytes = static_cast<std::size_t>(num(arg, 19));
-    } else if (arg.rfind("--checkpoint-dir=", 0) == 0) {
-      flags.checkpoint_dir = arg.substr(17);
-    } else if (arg.rfind("--checkpoint-every=", 0) == 0) {
-      flags.checkpoint_every = static_cast<std::size_t>(num(arg, 19));
-      if (flags.checkpoint_every == 0) flags.checkpoint_every = 1;
+    } else if (has("--sampling-rate")) {
+      flags.sampling_rate = number(DBL_MIN, 1.0, "a probability in (0, 1]");
+    } else if (has("--twin-window-ns")) {
+      flags.twin_window_ns = static_cast<long long>(count());
+    } else if (has("--drop")) {
+      flags.faults.drop_rate = prob();
+    } else if (has("--dup")) {
+      flags.faults.duplicate_rate = prob();
+    } else if (has("--skew-ns")) {
+      flags.faults.skew_stddev_ns = static_cast<DurationNs>(count());
+    } else if (has("--truncate-ns")) {
+      flags.faults.truncate_granularity_ns = static_cast<DurationNs>(count());
+    } else if (has("--garble")) {
+      flags.faults.garble_rate = prob();
+    } else if (has("--head-sample")) {
+      flags.faults.head_sample_rate = prob();
+    } else if (has("--span-sample")) {
+      flags.faults.tail_sample_rate = prob();
+    } else if (has("--fault-seed")) {
+      flags.faults.seed = count();
+    } else if (has("--window-ms")) {
+      sv.online.window = millis();
+    } else if (has("--margin-ms")) {
+      sv.online.margin = millis();
+    } else if (has("--deadline-ms")) {
+      sv.online.window_close_deadline = millis();
+    } else if (has("--max-buffer-spans")) {
+      sv.online.max_buffer_spans = static_cast<std::size_t>(count());
+    } else if (has("--max-buffer-bytes")) {
+      sv.online.max_buffer_bytes = static_cast<std::size_t>(count());
+    } else if (has("--checkpoint-dir")) {
+      sv.checkpoint_dir = value;
+    } else if (has("--checkpoint-every")) {
+      sv.checkpoint_every = std::max<std::size_t>(1, count());
     } else if (arg == "--resume") {
       flags.resume = true;
-    } else if (arg.rfind("--retries=", 0) == 0) {
-      flags.retries = static_cast<int>(num(arg, 10));
+    } else if (has("--retries")) {
+      flags.retries = number(0, 1000, "a retry count in [0, 1000]");
     } else if (arg == "--final") {
       flags.final_only = true;
-    } else if (arg.rfind("--store-dir=", 0) == 0) {
-      flags.store_dir = arg.substr(12);
-    } else if (arg.rfind("--store-segment-traces=", 0) == 0) {
-      flags.store_segment_traces = static_cast<std::size_t>(num(arg, 23));
-      if (flags.store_segment_traces == 0) flags.store_segment_traces = 1;
-    } else if (arg.rfind("--cache-traces=", 0) == 0) {
-      flags.cache_traces = static_cast<std::size_t>(num(arg, 15));
-    } else if (arg.rfind("--http-port=", 0) == 0) {
-      flags.http_port = static_cast<int>(num(arg, 12));
-    } else if (arg.rfind("--http-threads=", 0) == 0) {
-      flags.http_threads = static_cast<std::size_t>(num(arg, 15));
-      if (flags.http_threads == 0) flags.http_threads = 1;
+    } else if (has("--store-dir")) {
+      sv.store_dir = value;
+    } else if (has("--store-segment-traces")) {
+      sv.store.segment_traces = std::max<std::size_t>(1, count());
+    } else if (has("--cache-traces")) {
+      sv.store.cache_traces = static_cast<std::size_t>(count());
+    } else if (has("--http-port")) {
+      flags.http_port = number(0, 65535, "a port in [0, 65535]");
+    } else if (has("--http-threads")) {
+      flags.http_threads = std::max<std::size_t>(1, count());
     } else if (arg == "--linger") {
       flags.linger = true;
     } else if (arg == "--no-provenance") {
-      flags.no_provenance = true;
+      sv.provenance = false;
     } else if (arg == "--self-trace") {
-      flags.self_trace = true;
-    } else if (arg.rfind("--tail-sample=", 0) == 0) {
-      flags.tail_sample = prob(arg, 14);
-      if (flags.tail_sample < 0.0 || flags.tail_sample > 1.0) {
-        flags.tail_sample = -1.0;  // Out of range: sampler stays off.
-      }
-    } else if (arg.rfind("--service=", 0) == 0) {
-      flags.q_service = arg.substr(10);
-    } else if (arg.rfind("--from=", 0) == 0) {
-      flags.q_from = std::strtoll(arg.c_str() + 7, nullptr, 10);
-    } else if (arg.rfind("--to=", 0) == 0) {
-      flags.q_to = std::strtoll(arg.c_str() + 5, nullptr, 10);
-    } else if (arg.rfind("--grade=", 0) == 0 && arg.size() == 9) {
+      sv.self_trace = true;
+    } else if (has("--tail-sample")) {
+      sv.tail_sampler.emplace().keep_rate = prob();
+    } else if (has("--service")) {
+      flags.q_service = value;
+    } else if (has("--from")) {
+      flags.q_from = number(LLONG_MIN, LLONG_MAX, "an integer");
+    } else if (has("--to")) {
+      flags.q_to = number(LLONG_MIN, LLONG_MAX, "an integer");
+    } else if (has("--grade")) {
       flags.q_grade = static_cast<char>(
-          std::toupper(static_cast<unsigned char>(arg[8])));
-    } else if (arg.rfind("--limit=", 0) == 0) {
-      flags.q_limit = static_cast<std::size_t>(num(arg, 8));
+          std::toupper(static_cast<unsigned char>(value[0])));
+      if (value.size() != 1 || flags.q_grade < 'A' || flags.q_grade > 'D') {
+        expected = "one grade of A, B, C or D";
+      }
+    } else if (has("--limit")) {
+      flags.q_limit = static_cast<std::size_t>(count());
     } else if (arg == "--full") {
       flags.q_full = true;
     } else {
-      break;
+      std::fprintf(stderr, "error: unknown flag %s (run without arguments "
+                   "for usage)\n", arg.c_str());
+      return false;
+    }
+    if (!expected.empty()) {
+      std::fprintf(stderr, "error: %s: expected %s\n", arg.c_str(),
+                   expected.c_str());
+      return false;
     }
     --argc;
     ++argv;
     argv[0] = argv[-1];  // Keep argv[0] pointing at a program name.
   }
-  return flags;
+  return true;
 }
 
 /// Batch-mode clock-skew handling (--skew-correct): feed the population
@@ -668,9 +633,7 @@ std::optional<CallGraph> LoadGraph(const std::string& path) {
   return graph;
 }
 
-int CmdSimulate(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 4) return Usage();
+int CmdSimulate(const CliFlags& flags, int argc, char** argv) {
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::OpenLoopOptions load;
@@ -702,9 +665,7 @@ int CmdSimulate(int argc, char** argv) {
   return 0;
 }
 
-int CmdInjectFaults(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
+int CmdInjectFaults(const CliFlags& flags, int, char** argv) {
   std::ifstream in(argv[1]);
   if (!in) {
     std::fprintf(stderr, "cannot open spans file: %s\n", argv[1]);
@@ -732,9 +693,7 @@ int CmdInjectFaults(int argc, char** argv) {
   return 0;
 }
 
-int CmdReplay(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
+int CmdReplay(const CliFlags& flags, int argc, char** argv) {
   auto app = AppByName(argv[1]);
   if (!app) return Usage();
   sim::IsolatedReplayOptions options;
@@ -754,9 +713,7 @@ int CmdReplay(int argc, char** argv) {
   return 0;
 }
 
-int CmdInferGraph(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
+int CmdInferGraph(const CliFlags& flags, int, char** argv) {
   auto loaded = LoadSpans(argv[1], flags, nullptr);
   if (!loaded) return 1;
   const CallGraph graph = InferCallGraph(loaded->spans);
@@ -764,79 +721,89 @@ int CmdInferGraph(int argc, char** argv) {
   return 0;
 }
 
-int CmdReconstruct(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
+/// One {"span","parent"} JSONL row.
+void PrintAssignmentRow(SpanId child, SpanId parent) {
+  std::printf("{\"span\":%llu,\"parent\":%llu}\n",
+              static_cast<unsigned long long>(child),
+              static_cast<unsigned long long>(parent));
+}
+
+/// `assignment` as {"span","parent"} rows sorted by child id.
+void PrintAssignment(const ParentAssignment& assignment) {
+  std::vector<std::pair<SpanId, SpanId>> rows(assignment.begin(),
+                                              assignment.end());
+  std::sort(rows.begin(), rows.end());
+  for (const auto& [child, parent] : rows) PrintAssignmentRow(child, parent);
+}
+
+struct Reconstruction {
+  std::vector<Span> spans;  ///< Validated and skew-corrected input.
+  TraceWeaverOutput out;
+};
+
+/// The shared body of the reconstruction commands: loads the graph and
+/// span files (argv[1], argv[2]), corrects skew, reconstructs, then emits
+/// the requested observability outputs and the low-confidence warning.
+/// A non-null `explain` captures the candidate table of `explain_parent`.
+std::optional<Reconstruction> ReconstructFiles(
+    const CliFlags& flags, char** argv, ExplainCapture* explain = nullptr,
+    SpanId explain_parent = kInvalidSpanId) {
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
   auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
+  auto loaded = LoadSpans(argv[2], flags, reg);
+  if (!graph || !loaded) return std::nullopt;
+  Reconstruction run{std::move(loaded->spans), {}};
+  TraceWeaverOptions opts =
+      WeaverOptions(flags, &registry, loaded->ingest.suggested_slack_ns);
+  ApplySkewCorrection(flags, run.spans, opts, reg);
+  opts.optimizer.explain_parent = explain_parent;
+  opts.optimizer.explain_out = explain;
+  run.out = TraceWeaver(*graph, opts).Reconstruct(run.spans);
   EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+  WarnLowConfidence(flags, run.out);
+  return run;
+}
+
+int CmdReconstruct(const CliFlags& flags, int, char** argv) {
+  const auto run = ReconstructFiles(flags, argv);
+  if (!run) return 1;
+  const std::vector<Span>& spans = run->spans;
+  const TraceWeaverOutput& out = run->out;
   std::size_t mapped = 0;
-  for (const Span& s : spans->spans) {
+  for (const Span& s : spans) {
     auto it = out.assignment.find(s.id);
     const SpanId parent =
         it == out.assignment.end() ? kInvalidSpanId : it->second;
-    std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                static_cast<unsigned long long>(s.id),
-                static_cast<unsigned long long>(parent));
+    PrintAssignmentRow(s.id, parent);
     if (parent != kInvalidSpanId) ++mapped;
   }
   std::fprintf(stderr, "%zu of %zu spans mapped to a parent\n", mapped,
-               spans->spans.size());
+               spans.size());
   return 0;
 }
 
-int CmdExportJaeger(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+int CmdExportJaeger(const CliFlags& flags, int, char** argv) {
+  const auto run = ReconstructFiles(flags, argv);
+  if (!run) return 1;
+  const std::vector<Span>& spans = run->spans;
+  const TraceWeaverOutput& out = run->out;
   if (flags.quality) {
     const auto tags = QualityTags(out);
-    std::cout << TracesToJaegerJson(spans->spans, out.assignment, &tags)
+    std::cout << TracesToJaegerJson(spans, out.assignment, &tags)
               << '\n';
   } else {
-    std::cout << TracesToJaegerJson(spans->spans, out.assignment) << '\n';
+    std::cout << TracesToJaegerJson(spans, out.assignment) << '\n';
   }
   return 0;
 }
 
-int CmdEvaluate(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-
-  TraceWeaverOptions wopts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, wopts, reg);
-  TraceWeaver weaver(*graph, wopts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
-  const AccuracyReport report = Evaluate(spans->spans, out.assignment);
+int CmdEvaluate(const CliFlags& flags, int, char** argv) {
+  const auto run = ReconstructFiles(flags, argv);
+  if (!run) return 1;
+  const std::vector<Span>& spans = run->spans;
+  const TraceWeaverOutput& out = run->out;
+  const AccuracyReport report = Evaluate(spans, out.assignment);
   std::printf("spans:   %zu considered, %zu correct (%.2f%%)\n",
               report.spans_considered, report.spans_correct,
               report.SpanAccuracy() * 100.0);
@@ -844,14 +811,14 @@ int CmdEvaluate(int argc, char** argv) {
               report.traces_considered, report.traces_correct,
               report.TraceAccuracy() * 100.0);
   std::printf("top-5 end-to-end: %.2f%%\n",
-              TopKTraceAccuracy(spans->spans, out, 5) * 100.0);
+              TopKTraceAccuracy(spans, out, 5) * 100.0);
   std::printf("per-service confidence:\n");
   for (const auto& [service, confidence] : out.ConfidenceByService()) {
     std::printf("  %-24s %.1f%%\n", service.c_str(), confidence * 100.0);
   }
   if (flags.quality) {
     const obs::CalibrationResult acal =
-        obs::CalibrateAssignments(spans->spans, out.containers, out.quality);
+        obs::CalibrateAssignments(spans, out.containers, out.quality);
     const auto pearson_str = [](const obs::CalibrationResult& c) {
       if (!c.pearson_defined) return std::string("n/a");
       char buf[32];
@@ -864,7 +831,7 @@ int CmdEvaluate(int argc, char** argv) {
         acal.samples, pearson_str(acal).c_str(), acal.ece, acal.brier);
     std::fputs(acal.ReliabilityDiagram().c_str(), stdout);
     const obs::CalibrationResult calib =
-        obs::CalibrateTraces(spans->spans, out.quality, out.assignment);
+        obs::CalibrateTraces(spans, out.quality, out.assignment);
     std::printf(
         "calibration (trace confidence vs correctness, %zu traces):\n"
         "  pearson %s   ece %.4f   brier %.4f\n",
@@ -874,26 +841,12 @@ int CmdEvaluate(int argc, char** argv) {
   return 0;
 }
 
-int CmdExplain(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 4) return Usage();
-  obs::MetricsRegistry registry;
-  obs::MetricsRegistry* reg = flags.WantMetrics() ? &registry : nullptr;
-  auto graph = LoadGraph(argv[1]);
-  auto spans = LoadSpans(argv[2], flags, reg);
-  if (!graph || !spans) return 1;
-  const SpanId target = std::strtoull(argv[3], nullptr, 10);
-
+int CmdExplain(const CliFlags& flags, int, char** argv) {
   ExplainCapture capture;
-  TraceWeaverOptions opts =
-      WeaverOptions(flags, &registry, spans->ingest.suggested_slack_ns);
-  ApplySkewCorrection(flags, spans->spans, opts, reg);
-  opts.optimizer.explain_parent = target;
-  opts.optimizer.explain_out = &capture;
-  TraceWeaver weaver(*graph, opts);
-  const TraceWeaverOutput out = weaver.Reconstruct(spans->spans);
-  EmitObservability(flags, registry);
-  WarnLowConfidence(flags, out);
+  if (!ReconstructFiles(flags, argv, &capture,
+                        std::strtoull(argv[3], nullptr, 10))) {
+    return 1;
+  }
   if (flags.json) {
     std::fputs(ExplainJson(capture).c_str(), stdout);
   } else {
@@ -904,10 +857,7 @@ int CmdExplain(int argc, char** argv) {
 
 /// Reorders a span file into completion (client_recv) order -- the
 /// arrival order a live collector produces and the one `serve` expects.
-int CmdSortSpans(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  (void)flags;
-  if (argc < 2) return Usage();
+int CmdSortSpans(const CliFlags&, int, char** argv) {
   std::ifstream in(argv[1]);
   if (!in) {
     std::fprintf(stderr, "cannot open spans file: %s\n", argv[1]);
@@ -928,7 +878,8 @@ int CmdSortSpans(int argc, char** argv) {
 }
 
 // ---------------------------------------------------------------------
-// serve: the resilient streaming loop (core/online.h).
+// serve: the front end of the streaming pipeline (serve/pipeline.h) --
+// source reading, HTTP, signals and output.
 
 /// Opens `path` (seeking to `offset`) with exponential-backoff retry; an
 /// unopened stream after `retries` attempts signals giving up.
@@ -941,7 +892,8 @@ std::ifstream OpenWithRetry(const std::string& path, int retries,
       if (in) return in;
     }
     if (attempt >= retries) return std::ifstream();
-    const long long backoff_ms = std::min(100LL << attempt, 5000LL);
+    const long long backoff_ms =
+        std::min(100LL << std::min(attempt, 6), 5000LL);
     std::fprintf(stderr,
                  "serve: cannot read %s (attempt %d/%d), retrying in "
                  "%lld ms\n",
@@ -964,133 +916,77 @@ void EmitWindowResults(const std::vector<WindowResult>& results) {
         static_cast<long long>(r.window_end), r.parents_committed,
         r.shed ? "true" : "false", r.degradation_level, r.late_grafted,
         r.orphans.size());
-    std::vector<std::pair<SpanId, SpanId>> rows(r.assignment.begin(),
-                                                r.assignment.end());
-    std::sort(rows.begin(), rows.end());
-    for (const auto& [child, parent] : rows) {
-      std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                  static_cast<unsigned long long>(child),
-                  static_cast<unsigned long long>(parent));
-    }
-    for (SpanId id : r.orphans) {
-      std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                  static_cast<unsigned long long>(id),
-                  static_cast<unsigned long long>(kInvalidSpanId));
-    }
+    PrintAssignment(r.assignment);
+    for (SpanId id : r.orphans) PrintAssignmentRow(id, kInvalidSpanId);
   }
 }
 
-int CmdServe(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  const bool store_enabled = !flags.store_dir.empty();
+/// Prints the checkpoint / seal failures the pipeline carried on past.
+void PrintPipelineWarnings(serve::Pipeline& pipeline) {
+  for (const std::string& warning : pipeline.TakeWarnings()) {
+    std::fprintf(stderr, "serve: %s\n", warning.c_str());
+  }
+}
+
+int CmdServe(const CliFlags& flags, int, char** argv) {
+  serve::PipelineOptions popts = flags.serve;
+  const bool store_enabled = !popts.store_dir.empty();
   const bool http_enabled = flags.http_port >= 0;
-  if (http_enabled && !store_enabled) {
-    std::fprintf(stderr, "serve: --http-port requires --store-dir\n");
-    return 2;
-  }
-  obs::MetricsRegistry registry;
-  // The store/HTTP layers always record into the registry (the /metrics
-  // endpoint scrapes it); file/report outputs still need the flags.
-  obs::MetricsRegistry* reg =
-      flags.WantMetrics() || store_enabled ? &registry : nullptr;
-  if (flags.self_trace && !store_enabled) {
-    std::fprintf(stderr, "serve: --self-trace requires --store-dir\n");
-    return 2;
-  }
-  if (flags.tail_sample >= 0.0 && !store_enabled) {
-    std::fprintf(stderr, "serve: --tail-sample requires --store-dir\n");
-    return 2;
+  for (const auto& [used, flag] :
+       {std::pair{http_enabled, "--http-port"},
+        {popts.self_trace, "--self-trace"},
+        {popts.tail_sampler.has_value(), "--tail-sample"}}) {
+    if (used && !store_enabled) {
+      std::fprintf(stderr, "serve: %s requires --store-dir\n", flag);
+      return 2;
+    }
   }
   auto graph = LoadGraph(argv[1]);
   if (!graph) return 1;
   const std::string source = argv[2];
 
-  // Decision provenance (obs/provenance.h): on by default whenever
-  // commits happen, since only committed records can carry the ledger.
-  std::unique_ptr<obs::ProvenanceLedger> ledger;
-  if (store_enabled && !flags.no_provenance) {
-    ledger = std::make_unique<obs::ProvenanceLedger>(
-        obs::ProvenanceLedgerOptions{}, reg);
-  }
-
-  OnlineOptions oopts;
-  oopts.window = Millis(flags.window_ms);
-  oopts.margin = Millis(flags.margin_ms);
-  oopts.window_close_deadline = Millis(flags.deadline_ms);
-  oopts.max_buffer_spans = flags.max_buffer_spans;
-  oopts.max_buffer_bytes = flags.max_buffer_bytes;
-  oopts.weaver = WeaverOptions(flags, &registry);
-  oopts.weaver.metrics = reg;
-  // The store indexes A-D grades and calibrated confidence, so committing
-  // turns the quality layer on; without a store it stays a paid opt-in.
-  oopts.weaver.compute_quality = flags.quality || store_enabled;
+  obs::MetricsRegistry registry;
+  // The store/HTTP layers always record into the registry (the /metrics
+  // endpoint scrapes it); file/report outputs still need the flags.
+  obs::MetricsRegistry* reg =
+      flags.WantMetrics() || store_enabled ? &registry : nullptr;
+  popts.online.weaver = WeaverOptions(flags, &registry);
+  popts.online.weaver.metrics = reg;
   // serve's --skew-correct runs the streaming estimator: every ingested
   // span is observed raw, corrected into the global frame, and the
   // per-edge slack map refreshes at each window close.
-  oopts.skew_correct = flags.skew_correct;
-  oopts.metrics = reg;
-  oopts.provenance = ledger.get();
-  OnlineTraceWeaver weaver(*graph, oopts);
-  obs::OnlineMetrics ometrics;
-  if (reg != nullptr) ometrics = obs::OnlineMetrics(*reg);
+  popts.online.skew_correct = flags.skew_correct;
+  popts.online.metrics = reg;
+  serve::Pipeline pipeline(*graph, popts);
 
-  std::unique_ptr<store::TraceStore> tstore;
-  std::unique_ptr<store::TraceCommitter> committer;
-  std::unique_ptr<store::TailSampler> sampler;
+  std::string err;
+  const auto ostats = pipeline.Open(&err);
+  if (!ostats) {
+    std::fprintf(stderr, "serve: cannot open store %s: %s\n",
+                 popts.store_dir.c_str(), err.c_str());
+    return 1;
+  }
   if (store_enabled) {
-    store::StoreOptions sopts;
-    sopts.segment_traces = flags.store_segment_traces;
-    sopts.cache_traces = flags.cache_traces;
-    sopts.metrics = reg;
-    tstore = std::make_unique<store::TraceStore>(flags.store_dir, sopts);
-    std::string err;
-    const auto ostats = tstore->Open(&err);
-    if (!ostats) {
-      std::fprintf(stderr, "serve: cannot open store %s: %s\n",
-                   flags.store_dir.c_str(), err.c_str());
-      return 1;
-    }
     if (ostats->segments_rejected > 0) {
       std::fprintf(stderr, "serve: store skipped %zu damaged segment(s)\n",
                    ostats->segments_rejected);
     }
     std::fprintf(stderr, "serve: store %s: %zu traces in %zu segments\n",
-                 flags.store_dir.c_str(), ostats->traces_loaded,
+                 popts.store_dir.c_str(), ostats->traces_loaded,
                  ostats->segments_loaded);
-    store::CommitterOptions copts;
-    copts.window = oopts.window;
-    copts.margin = oopts.margin;
-    copts.provenance = ledger.get();
-    if (flags.tail_sample >= 0.0) {
-      store::TailSamplerOptions topts;
-      topts.keep_rate = flags.tail_sample;
-      topts.window = oopts.window;
-      sampler = std::make_unique<store::TailSampler>(topts, reg);
-      copts.sampler = sampler.get();
-    }
-    committer =
-        std::make_unique<store::TraceCommitter>(copts, tstore.get());
-  }
-  std::unique_ptr<serve::SelfTracer> self_tracer;
-  if (flags.self_trace) {
-    self_tracer = std::make_unique<serve::SelfTracer>(tstore.get());
   }
 
-  const serve::ServeState state{&weaver, tstore.get(), committer.get(),
-                                sampler.get()};
   std::uint64_t offset = 0;
-  if (flags.resume && !flags.checkpoint_dir.empty()) {
-    std::string err;
-    if (serve::ResumeServeCheckpoint(flags.checkpoint_dir, state, &offset,
-                                     &err)) {
-      ometrics.restores.Inc();
+  if (flags.resume && !popts.checkpoint_dir.empty()) {
+    if (pipeline.Resume(&offset, &err)) {
       std::fprintf(stderr,
                    "serve: resumed from %s at source offset %llu "
                    "(%zu pending committer spans)\n",
-                   flags.checkpoint_dir.c_str(),
+                   popts.checkpoint_dir.c_str(),
                    static_cast<unsigned long long>(offset),
-                   committer != nullptr ? committer->pending_spans() : 0);
+                   pipeline.committer() != nullptr
+                       ? pipeline.committer()->pending_spans()
+                       : 0);
     } else {
       std::fprintf(stderr, "serve: %s, starting fresh\n", err.c_str());
     }
@@ -1100,9 +996,9 @@ int CmdServe(int argc, char** argv) {
   std::unique_ptr<serve::HttpServer> http;
   if (http_enabled) {
     serve::QueryServiceOptions qopts;
-    qopts.explain_weaver = oopts.weaver;
+    qopts.explain_weaver = pipeline.options().online.weaver;
     query_service = std::make_unique<serve::QueryService>(
-        tstore.get(), &*graph, &registry, qopts);
+        pipeline.store(), &*graph, &registry, qopts);
     serve::HttpServerOptions hopts;
     hopts.port = flags.http_port;
     hopts.worker_threads = flags.http_threads;
@@ -1113,7 +1009,6 @@ int CmdServe(int argc, char** argv) {
           query_service->Handle(rq, rs);
         },
         hopts);
-    std::string err;
     if (!http->Start(&err)) {
       std::fprintf(stderr, "serve: %s\n", err.c_str());
       return 1;
@@ -1126,29 +1021,6 @@ int CmdServe(int argc, char** argv) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
 
-  const auto checkpoint_impl = [&]() {
-    if (flags.checkpoint_dir.empty()) return;
-    std::string err;
-    if (serve::SaveServeCheckpoint(flags.checkpoint_dir, state, offset,
-                                   &err)) {
-      ometrics.checkpoints.Inc();
-    } else {
-      std::fprintf(stderr, "serve: checkpoint to %s failed: %s\n",
-                   flags.checkpoint_dir.c_str(), err.c_str());
-    }
-  };
-  const auto checkpoint = [&]() {
-    const auto begin = std::chrono::steady_clock::now();
-    checkpoint_impl();
-    if (self_tracer != nullptr) {
-      self_tracer->Record(
-          serve::SelfStage::kSeal,
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - begin)
-              .count());
-    }
-  };
-
   std::ifstream in = OpenWithRetry(source, flags.retries, offset);
   if (!in) {
     std::fprintf(stderr, "serve: giving up on %s\n", source.c_str());
@@ -1158,48 +1030,8 @@ int CmdServe(int argc, char** argv) {
 
   std::string line;
   std::uint64_t parse_errors = 0;
-  std::size_t since_checkpoint = 0;
-  TimeNs watermark = weaver.high_watermark();
-  using SteadyClock = std::chrono::steady_clock;
-  const auto wall_ns = [](SteadyClock::time_point a, SteadyClock::time_point b) {
-    return static_cast<DurationNs>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
-  };
-  // Running total of tw_stage_wall_ns_total{stage="enumerate"} at the
-  // last window batch, so the self trace can attribute the enumerate
-  // share of each close from the stage-timer delta.
-  std::int64_t enum_wall_seen = 0;
-  // Splits one Advance()/Flush() call into self-trace stage buckets:
-  // windowing = the call minus its window closes; the enumerate share of
-  // a close comes from the stage-timer delta, graft from the results,
-  // and the remainder is the solve share (score + assignment + commit
-  // bookkeeping inside the weaver).
-  const auto record_advance = [&](DurationNs advance_wall,
-                                  const std::vector<WindowResult>& results) {
-    DurationNs close = 0;
-    DurationNs graft = 0;
-    for (const WindowResult& r : results) {
-      close += r.close_wall_ns;
-      graft += r.graft_wall_ns;
-    }
-    DurationNs enumerate = 0;
-    if (!results.empty() && reg != nullptr) {
-      const std::int64_t seen = registry.Snapshot().Value(
-          "tw_stage_wall_ns_total", "stage=\"enumerate\"");
-      enumerate = std::max<std::int64_t>(0, seen - enum_wall_seen);
-      enum_wall_seen = seen;
-    }
-    enumerate = std::min(enumerate, std::max<DurationNs>(0, close - graft));
-    self_tracer->Record(serve::SelfStage::kWindow,
-                        std::max<DurationNs>(0, advance_wall - close));
-    self_tracer->Record(serve::SelfStage::kEnumerate, enumerate);
-    self_tracer->Record(serve::SelfStage::kSolve,
-                        std::max<DurationNs>(0, close - graft - enumerate));
-    self_tracer->Record(serve::SelfStage::kGraft, graft);
-  };
   while (!g_stop.load()) {
-    const auto t_read = self_tracer != nullptr ? SteadyClock::now()
-                                               : SteadyClock::time_point{};
+    const auto t_read = pipeline.Stamp();  // Self trace's ingest stage.
     if (!std::getline(in, line)) {
       if (in.eof()) break;
       // Transient read failure: reopen at the last consumed offset.
@@ -1219,101 +1051,28 @@ int CmdServe(int argc, char** argv) {
       ++parse_errors;
       continue;
     }
-    const auto t_parsed = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    weaver.Ingest(*span);
-    if (committer != nullptr) committer->OnSpan(*span);
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kIngest,
-                          wall_ns(t_read, t_parsed));
-      self_tracer->Record(serve::SelfStage::kValidate,
-                          wall_ns(t_parsed, SteadyClock::now()));
-    }
-    // client_send drives the watermark: a conservative lower bound
-    // (client_send <= client_recv) on completion-ordered streams, so
-    // windows never close while their candidates are still in flight.
-    // The running max keeps Advance()'s regression counter reserved for
-    // genuine source regressions.
-    watermark = std::max(watermark, span->client_send);
-    const auto t_advance = self_tracer != nullptr ? SteadyClock::now()
-                                                  : SteadyClock::time_point{};
-    const auto results = weaver.Advance(watermark);
-    if (self_tracer != nullptr) {
-      record_advance(wall_ns(t_advance, SteadyClock::now()), results);
-    }
-    const auto t_commit = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    if (committer != nullptr) committer->OnResults(results);
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kCommit,
-                          wall_ns(t_commit, SteadyClock::now()));
-    }
+    const auto& results = pipeline.Ingest(*span, offset, t_read);
+    PrintPipelineWarnings(pipeline);
     if (!flags.final_only) EmitWindowResults(results);
-    if (!flags.checkpoint_dir.empty() &&
-        ++since_checkpoint >= flags.checkpoint_every) {
-      since_checkpoint = 0;
-      checkpoint();
-    }
-    if (self_tracer != nullptr) {
-      // One self trace per closed window; a multi-window batch drains the
-      // accumulated stage buckets into its first window.
-      for (const WindowResult& r : results) {
-        self_tracer->CommitWindow(r.window_start);
-      }
-    }
   }
 
   const bool interrupted = g_stop.load();
   if (interrupted) {
-    // Graceful stop mid-stream: checkpoint (seal + committer state +
-    // weaver + offset) and exit without flushing, so a --resume run
-    // continues exactly where this one stopped -- flushing here would
-    // commit still-settling traces as premature fragments.
     std::fprintf(stderr, "serve: interrupted, checkpointing and exiting\n");
-    checkpoint();
+    pipeline.Interrupt(offset);
+    PrintPipelineWarnings(pipeline);
   } else {
-    const auto t_flush = self_tracer != nullptr ? SteadyClock::now()
-                                                : SteadyClock::time_point{};
-    const auto tail = weaver.Flush();
-    if (self_tracer != nullptr) {
-      record_advance(wall_ns(t_flush, SteadyClock::now()), tail);
-    }
-    const auto t_commit = self_tracer != nullptr ? SteadyClock::now()
-                                                 : SteadyClock::time_point{};
-    if (committer != nullptr) {
-      committer->OnResults(tail);
-      committer->Finalize();
-    }
-    if (self_tracer != nullptr) {
-      self_tracer->Record(serve::SelfStage::kCommit,
-                          wall_ns(t_commit, SteadyClock::now()));
-      // Before the final seal, so the self traces land durably too.
-      for (const WindowResult& r : tail) {
-        self_tracer->CommitWindow(r.window_start);
-      }
-    }
-    if (!flags.final_only) EmitWindowResults(tail);
-    if (tstore != nullptr) {
-      std::string serr;
-      if (!tstore->Seal(&serr)) {
-        std::fprintf(stderr, "serve: store seal failed: %s\n", serr.c_str());
-      }
-    }
-    checkpoint();
-    if (flags.final_only) {
-      std::vector<std::pair<SpanId, SpanId>> rows(weaver.assignment().begin(),
-                                                  weaver.assignment().end());
-      std::sort(rows.begin(), rows.end());
-      for (const auto& [child, parent] : rows) {
-        std::printf("{\"span\":%llu,\"parent\":%llu}\n",
-                    static_cast<unsigned long long>(child),
-                    static_cast<unsigned long long>(parent));
-      }
+    const auto tail = pipeline.Finish(offset);
+    PrintPipelineWarnings(pipeline);
+    if (!flags.final_only) {
+      EmitWindowResults(tail);
+    } else {
+      PrintAssignment(pipeline.weaver().assignment());
     }
   }
   EmitObservability(flags, registry);
 
-  const OnlineTraceWeaver::Stats& st = weaver.stats();
+  const OnlineTraceWeaver::Stats& st = pipeline.weaver().stats();
   std::fprintf(
       stderr,
       "serve: %llu ingested (%llu parse errors), %llu windows closed, "
@@ -1336,18 +1095,18 @@ int CmdServe(int argc, char** argv) {
       static_cast<unsigned long long>(st.deadline_misses),
       static_cast<unsigned long long>(st.degrade_up_steps),
       static_cast<unsigned long long>(st.degrade_down_steps),
-      weaver.degradation_level());
-  if (tstore != nullptr) {
+      pipeline.weaver().degradation_level());
+  if (const store::TraceStore* tstore = pipeline.store()) {
     std::fprintf(
         stderr,
         "serve: store holds %zu traces (%zu sealed segments, %zu active"
         "%s)\n",
         tstore->size(), tstore->sealed_segments(), tstore->active_traces(),
-        committer != nullptr && committer->pending_spans() > 0
+        pipeline.committer()->pending_spans() > 0
             ? ", settling spans pending"
             : "");
   }
-  if (sampler != nullptr) {
+  if (const store::TailSampler* sampler = pipeline.sampler()) {
     std::fprintf(stderr,
                  "serve: tail sampler considered %zu traces: kept %zu "
                  "(%zu interesting, %zu by coin), shed %zu\n",
@@ -1355,7 +1114,7 @@ int CmdServe(int argc, char** argv) {
                  sampler->kept_interesting(), sampler->kept_random(),
                  sampler->shed());
   }
-  if (ledger != nullptr) {
+  if (const obs::ProvenanceLedger* ledger = pipeline.ledger()) {
     std::fprintf(stderr,
                  "serve: provenance ledger recorded %llu events (%llu "
                  "dropped, %zu spans still pending)\n",
@@ -1363,7 +1122,7 @@ int CmdServe(int argc, char** argv) {
                  static_cast<unsigned long long>(ledger->dropped()),
                  ledger->pending_spans());
   }
-  if (self_tracer != nullptr) {
+  if (const serve::SelfTracer* self_tracer = pipeline.self_tracer()) {
     std::fprintf(stderr, "serve: committed %zu pipeline self traces\n",
                  self_tracer->committed());
   }
@@ -1382,12 +1141,8 @@ int CmdServe(int argc, char** argv) {
 
 /// query: offline access to a trace store (no server). Summaries by
 /// default, one full record with an explicit id, --full to stream records.
-int CmdQuery(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 2) return Usage();
-  store::StoreOptions sopts;
-  sopts.cache_traces = flags.cache_traces;
-  store::TraceStore tstore(argv[1], sopts);
+int CmdQuery(const CliFlags& flags, int argc, char** argv) {
+  store::TraceStore tstore(argv[1], flags.serve.store);
   std::string err;
   const auto ostats = tstore.Open(&err);
   if (!ostats) {
@@ -1415,8 +1170,7 @@ int CmdQuery(int argc, char** argv) {
   query.service = flags.q_service;
   query.from = static_cast<TimeNs>(flags.q_from);
   query.to = static_cast<TimeNs>(flags.q_to);
-  query.max_grade =
-      flags.q_grade >= 'A' && flags.q_grade <= 'D' ? flags.q_grade : 'D';
+  query.max_grade = flags.q_grade;
   query.min_confidence = std::max(0.0, flags.min_confidence);
   query.limit = flags.q_limit;
 
@@ -1444,12 +1198,8 @@ int CmdQuery(int argc, char** argv) {
 /// provenance: print one stored trace's decision ledger as the same
 /// `traceweaver.provenance.v1` document GET /traces/{id}/provenance
 /// serves (docs/API.md).
-int CmdProvenance(int argc, char** argv) {
-  const CliFlags flags = ParseFlags(argc, argv);
-  if (argc < 3) return Usage();
-  store::StoreOptions sopts;
-  sopts.cache_traces = flags.cache_traces;
-  store::TraceStore tstore(argv[1], sopts);
+int CmdProvenance(const CliFlags& flags, int, char** argv) {
+  store::TraceStore tstore(argv[1], flags.serve.store);
   std::string err;
   const auto ostats = tstore.Open(&err);
   if (!ostats) {
@@ -1467,22 +1217,40 @@ int CmdProvenance(int argc, char** argv) {
   return 0;
 }
 
+/// A subcommand: its name, the argument count it needs after its flags
+/// (argv[0] is the command name), and its body.
+struct Command {
+  const char* name;
+  int min_argc;
+  int (*run)(const CliFlags& flags, int argc, char** argv);
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  static constexpr Command kCommands[] = {
+    {"simulate", 4, CmdSimulate},
+    {"inject-faults", 2, CmdInjectFaults},
+    {"replay", 2, CmdReplay},
+    {"infer-graph", 2, CmdInferGraph},
+    {"reconstruct", 3, CmdReconstruct},
+    {"evaluate", 3, CmdEvaluate},
+    {"export-jaeger", 3, CmdExportJaeger},
+    {"explain", 4, CmdExplain},
+    {"serve", 3, CmdServe},
+    {"query", 2, CmdQuery},
+    {"provenance", 3, CmdProvenance},
+    {"sort-spans", 2, CmdSortSpans},
+  };
   if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  if (cmd == "simulate") return CmdSimulate(argc - 1, argv + 1);
-  if (cmd == "inject-faults") return CmdInjectFaults(argc - 1, argv + 1);
-  if (cmd == "replay") return CmdReplay(argc - 1, argv + 1);
-  if (cmd == "infer-graph") return CmdInferGraph(argc - 1, argv + 1);
-  if (cmd == "reconstruct") return CmdReconstruct(argc - 1, argv + 1);
-  if (cmd == "evaluate") return CmdEvaluate(argc - 1, argv + 1);
-  if (cmd == "export-jaeger") return CmdExportJaeger(argc - 1, argv + 1);
-  if (cmd == "explain") return CmdExplain(argc - 1, argv + 1);
-  if (cmd == "serve") return CmdServe(argc - 1, argv + 1);
-  if (cmd == "query") return CmdQuery(argc - 1, argv + 1);
-  if (cmd == "provenance") return CmdProvenance(argc - 1, argv + 1);
-  if (cmd == "sort-spans") return CmdSortSpans(argc - 1, argv + 1);
+  for (const Command& command : kCommands) {
+    if (std::strcmp(argv[1], command.name) != 0) continue;
+    --argc;
+    ++argv;
+    CliFlags flags;
+    if (!ParseFlags(argc, argv, flags)) return 2;
+    if (argc < command.min_argc) return Usage();
+    return command.run(flags, argc, argv);
+  }
   return Usage();
 }
