@@ -73,7 +73,7 @@ std::string WriteBenchJsonMerged(const std::string& tag,
                                  const std::string& baseline_commit = "");
 
 /// Writes `REPORT_<tag>.json` into the working directory: the structured
-/// run report (schema traceweaver.run_report.v7) built from `registry`'s
+/// run report (schema traceweaver.run_report.v8) built from `registry`'s
 /// current snapshot -- the machine-readable companion to BENCH_<tag>.json
 /// explaining where the reconstruction time went. Returns the file name.
 std::string WriteRunReportJson(const std::string& tag,

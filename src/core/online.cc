@@ -1,7 +1,6 @@
 #include "core/online.h"
 
 #include <algorithm>
-#include <chrono>
 #include <limits>
 #include <tuple>
 #include <unordered_set>
@@ -233,7 +232,9 @@ SpanId OnlineTraceWeaver::TryGraft(const Span& span) {
   return parent;
 }
 
-void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
+void OnlineTraceWeaver::ServiceLatePool(WindowResult& result,
+                                        bool expire_all) {
+  auto t = metrics_.stages.Time(obs::Stage::kGraft);
   std::vector<LateSpan> keep;
   keep.reserve(late_pool_.size());
   for (LateSpan& late : late_pool_) {
@@ -246,7 +247,7 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
       ++result.late_grafted;
       ++stats_.late_grafted;
       metrics_.late_grafted.Inc();
-    } else if (next_window_start_ > late.deadline) {
+    } else if (expire_all || next_window_start_ > late.deadline) {
       result.orphans.push_back(late.span.id);
       prov_.Record(obs::ProvEventType::kLateExpire, late.span.id,
                    late.deadline);
@@ -257,18 +258,6 @@ void OnlineTraceWeaver::ServiceLatePool(WindowResult& result) {
     }
   }
   late_pool_ = std::move(keep);
-
-  // Prune graft slots too old for any in-flight child to still match.
-  const TimeNs cutoff =
-      next_window_start_ -
-      static_cast<DurationNs>(options_.graft_retention_windows) *
-          options_.window;
-  graft_slots_.erase(
-      std::remove_if(graft_slots_.begin(), graft_slots_.end(),
-                     [&](const GraftSlot& s) {
-                       return s.server_send + options_.margin < cutoff;
-                     }),
-      graft_slots_.end());
 }
 
 TraceWeaver& OnlineTraceWeaver::WeaverForLevel() {
@@ -293,7 +282,7 @@ void OnlineTraceWeaver::UpdateBufferGauges() {
 
 WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
                                             TimeNs window_end) {
-  const auto t0 = std::chrono::steady_clock::now();
+  const std::uint64_t t0 = obs::WallNowNs();
   WindowResult result;
   result.window_start = window_start;
   result.window_end = window_end;
@@ -406,14 +395,18 @@ WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
     buffer_ = std::move(remaining);
   }
 
-  {
-    const auto graft_t0 = std::chrono::steady_clock::now();
-    ServiceLatePool(result);
-    result.graft_wall_ns =
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - graft_t0)
-            .count();
-  }
+  ServiceLatePool(result, /*expire_all=*/false);
+  // Prune graft slots too old for any in-flight child to still match.
+  const TimeNs cutoff =
+      next_window_start_ -
+      static_cast<DurationNs>(options_.graft_retention_windows) *
+          options_.window;
+  graft_slots_.erase(
+      std::remove_if(graft_slots_.begin(), graft_slots_.end(),
+                     [&](const GraftSlot& s) {
+                       return s.server_send + options_.margin < cutoff;
+                     }),
+      graft_slots_.end());
 
   ++stats_.windows_closed;
   stats_.parents_committed += result.parents_committed;
@@ -424,10 +417,7 @@ WindowResult OnlineTraceWeaver::CloseWindow(TimeNs window_start,
     skew_estimator_.FlushMetrics(*options_.metrics);
   }
 
-  const DurationNs wall =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const auto wall = static_cast<DurationNs>(obs::WallNowNs() - t0);
   result.close_wall_ns = wall;
   metrics_.window_close_ns.Observe(static_cast<std::uint64_t>(wall));
   if (options_.window_close_deadline > 0) {
@@ -508,25 +498,7 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
     for (Span& s : buffer_) last.orphans.push_back(s.id);
     buffer_.clear();
     buffer_bytes_ = 0;
-    for (LateSpan& late : late_pool_) {
-      const SpanId parent = TryGraft(late.span);
-      if (parent != kInvalidSpanId) {
-        committed_[late.span.id] = parent;
-        last.assignment[late.span.id] = parent;
-        prov_.Record(obs::ProvEventType::kLateGraft, late.span.id,
-                     static_cast<std::int64_t>(parent));
-        ++last.late_grafted;
-        ++stats_.late_grafted;
-        metrics_.late_grafted.Inc();
-      } else {
-        last.orphans.push_back(late.span.id);
-        prov_.Record(obs::ProvEventType::kLateExpire, late.span.id,
-                     late.deadline);
-        ++stats_.late_orphans;
-        metrics_.late_orphans.Inc();
-      }
-    }
-    late_pool_.clear();
+    ServiceLatePool(last, /*expire_all=*/true);
     for (SpanId id : pending_orphans_) last.orphans.push_back(id);
     pending_orphans_.clear();
     UpdateBufferGauges();

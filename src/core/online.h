@@ -122,9 +122,6 @@ struct WindowResult {
   std::size_t late_grafted = 0;
   /// Wall time spent closing this window (drives the ladder).
   DurationNs close_wall_ns = 0;
-  /// Portion of close_wall_ns spent servicing the late pool / graft
-  /// slots (feeds the serve loop's self-trace stage breakdown).
-  DurationNs graft_wall_ns = 0;
   /// Per-trace quality rows (grade, calibrated confidence) for every
   /// trace visible in the buffer at this close, filled iff
   /// OnlineOptions::weaver.compute_quality. Downstream consumers (the
@@ -242,9 +239,10 @@ class OnlineTraceWeaver {
   /// Grafts `span` into the best feasible free slot; returns the parent
   /// id or kInvalidSpanId.
   SpanId TryGraft(const Span& span);
-  /// Retries the late pool against slots opened by new commits, expires
-  /// stale entries into `result`, prunes stale graft slots.
-  void ServiceLatePool(WindowResult& result);
+  /// Retries the late pool against slots opened by new commits and
+  /// expires into `result` the entries past their deadline, or every
+  /// entry left when `expire_all` (end of stream). The `graft` stage.
+  void ServiceLatePool(WindowResult& result, bool expire_all);
   void EnforceBudget();
   void ShedOldestWindow();
   bool OverBudget() const;

@@ -1110,16 +1110,12 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   const obs::PipelineMetrics& pm =
       options.metrics != nullptr ? *options.metrics : kInertMetrics;
   ws.pm = &pm;
-  const auto timer = [&pm](obs::Stage s) {
-    const auto i = static_cast<std::size_t>(s);
-    return obs::StageTimer(pm.stage_wall_ns[i], pm.stage_cpu_ns[i]);
-  };
 
   ContainerResult result;
   result.instance = view.instance;
 
   {
-    auto t = timer(obs::Stage::kSetup);
+    auto t = pm.stages.Time(obs::Stage::kSetup);
     BuildPools(ws);
     BuildTasks(ws);
     if (!ws.tasks.empty()) DetectDynamism(ws);
@@ -1145,14 +1141,14 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   }
 
   {
-    auto t = timer(obs::Stage::kEnumerate);
+    auto t = pm.stages.Time(obs::Stage::kEnumerate);
     EnumerateAll(ws);
   }
 
   BatchingStats bstats;
   std::vector<Batch> batches;
   {
-    auto t = timer(obs::Stage::kBatch);
+    auto t = pm.stages.Time(obs::Stage::kBatch);
     batches =
         MakeBatches(ws.task_spans, options.params.max_batch_size, &bstats);
   }
@@ -1164,7 +1160,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
 
   DelayModel model;
   {
-    auto t = timer(obs::Stage::kSeed);
+    auto t = pm.stages.Time(obs::Stage::kSeed);
     model = BuildSeeds(ws);
   }
   pm.delay_keys_seeded.Inc(model.size());
@@ -1172,7 +1168,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   // Per-batch skip budgets (water-filling, §4.2) and task->batch lookup.
   std::vector<BatchRates> batch_rates;
   {
-    auto t = timer(obs::Stage::kAllocate);
+    auto t = pm.stages.Time(obs::Stage::kAllocate);
     batch_rates = AllocateSkips(ws, batches);
   }
   std::vector<std::size_t> batch_of_task(ws.tasks.size(), 0);
@@ -1219,13 +1215,13 @@ ContainerResult OptimizeContainer(const ContainerView& view,
   for (std::size_t iter = 0; iter < iterations; ++iter) {
     pm.iterations.Inc();
     {
-      auto t = timer(obs::Stage::kRank);
+      auto t = pm.stages.Time(obs::Stage::kRank);
       RankCandidates(ws, model, batch_of_task, batch_rates,
                      incremental ? &dirty_handlers : nullptr, results);
     }
     for (ParentResult& r : results) r.chosen = -1;
     {
-      auto t = timer(obs::Stage::kSolve);
+      auto t = pm.stages.Time(obs::Stage::kSolve);
       if (options.use_joint_optimization) {
         struct RunArenaStats {
           std::size_t high = 0;
@@ -1269,7 +1265,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
     if (iter + 1 < iterations) {
       std::vector<DelayKey> dirty;
       {
-        auto t = timer(obs::Stage::kRefit);
+        auto t = pm.stages.Time(obs::Stage::kRefit);
         dirty = RefitModel(ws, results, model, last_fitted);
       }
       // Convergence: an unchanged model reproduces this iteration's

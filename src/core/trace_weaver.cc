@@ -56,10 +56,6 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
   static const obs::PipelineMetrics kInertMetrics;
   const obs::PipelineMetrics& pm =
       metrics_ != nullptr ? *metrics_ : kInertMetrics;
-  const auto timer = [&pm](obs::Stage s) {
-    const auto i = static_cast<std::size_t>(s);
-    return obs::StageTimer(pm.stage_wall_ns[i], pm.stage_cpu_ns[i]);
-  };
   const std::uint64_t run_start =
       metrics_ != nullptr ? obs::WallNowNs() : 0;
 
@@ -68,7 +64,7 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
   std::optional<SpanStore> store;
   std::vector<ContainerView> views;
   {
-    auto t = timer(obs::Stage::kViews);
+    auto t = pm.stages.Time(obs::Stage::kViews);
     store.emplace(spans);
     views = store->AllViews();
   }
@@ -88,7 +84,7 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
   });
 
   {
-    auto t = timer(obs::Stage::kStitch);
+    auto t = pm.stages.Time(obs::Stage::kStitch);
     for (const Span& s : spans) out.assignment[s.id] = kInvalidSpanId;
     for (const ContainerResult& result : out.containers) {
       result.AppendAssignment(out.assignment);
@@ -103,7 +99,7 @@ TraceWeaverOutput TraceWeaver::Reconstruct(
   }
 
   if (options_.compute_quality) {
-    auto t = timer(obs::Stage::kQuality);
+    auto t = pm.stages.Time(obs::Stage::kQuality);
     // Parameters::sampling_rate is the single source of truth; the quality
     // layer inherits it so orphan/skip downgrades match the scoring model.
     obs::QualityOptions qopts = options_.quality;

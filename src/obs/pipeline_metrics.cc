@@ -10,23 +10,33 @@ std::string ServiceLabel(const std::string& service) {
 }  // namespace
 
 const char* StageName(Stage stage) {
-  switch (stage) {
-    case Stage::kViews:     return "views";
-    case Stage::kSetup:     return "setup";
-    case Stage::kEnumerate: return "enumerate";
-    case Stage::kBatch:     return "batch";
-    case Stage::kSeed:      return "seed";
-    case Stage::kAllocate:  return "allocate";
-    case Stage::kRank:      return "rank";
-    case Stage::kSolve:     return "solve";
-    case Stage::kRefit:     return "refit";
-    case Stage::kStitch:    return "stitch";
-    case Stage::kQuality:   return "quality";
-  }
-  return "unknown";
+  static constexpr const char* kNames[kAllStageCount] = {
+      "views",  "setup",  "enumerate", "batch", "seed",   "allocate",
+      "rank",   "solve",  "refit",     "stitch", "quality", "read",
+      "ingest", "window", "graft",     "commit", "checkpoint"};
+  return kNames[static_cast<std::size_t>(stage)];
 }
 
-PipelineMetrics::PipelineMetrics(MetricsRegistry& reg) : registry(&reg) {
+StageMetrics::StageMetrics(MetricsRegistry& reg, Stage first, Stage last) {
+  for (auto s = static_cast<std::size_t>(first);
+       s <= static_cast<std::size_t>(last); ++s) {
+    const std::string label =
+        "stage=\"" + std::string(StageName(static_cast<Stage>(s))) + "\"";
+    wall_ns[s] = reg.GetCounter(
+        "tw_stage_wall_ns_total", label,
+        "Wall time spent inside a pipeline stage, exclusive of nested "
+        "stages",
+        "ns");
+    cpu_ns[s] = reg.GetCounter(
+        "tw_stage_cpu_ns_total", label,
+        "Calling-thread CPU time spent inside a pipeline stage, exclusive "
+        "of nested stages",
+        "ns");
+  }
+}
+
+PipelineMetrics::PipelineMetrics(MetricsRegistry& reg)
+    : registry(&reg), stages(reg, Stage::kViews, Stage::kQuality) {
   runs = reg.GetCounter("tw_runs_total", "",
                         "Reconstruct() calls completed", "1");
   run_wall_ns = reg.GetCounter("tw_run_wall_ns_total", "",
@@ -37,17 +47,6 @@ PipelineMetrics::PipelineMetrics(MetricsRegistry& reg) : registry(&reg) {
                                   "Container views optimized", "1");
   threads = reg.GetGauge("tw_threads", "",
                          "Worker threads of the last run", "1");
-
-  for (std::size_t s = 0; s < kStageCount; ++s) {
-    const std::string label =
-        "stage=\"" + std::string(StageName(static_cast<Stage>(s))) + "\"";
-    stage_wall_ns[s] = reg.GetCounter(
-        "tw_stage_wall_ns_total", label,
-        "Wall time spent inside a pipeline stage", "ns");
-    stage_cpu_ns[s] = reg.GetCounter(
-        "tw_stage_cpu_ns_total", label,
-        "Calling-thread CPU time spent inside a pipeline stage", "ns");
-  }
 
   parents = reg.GetCounter("tw_parents_total", "",
                            "Incoming spans with a non-empty plan", "1");
@@ -190,7 +189,8 @@ Counter PipelineMetrics::ServiceCandidates(const std::string& service) const {
                               "1");
 }
 
-OnlineMetrics::OnlineMetrics(MetricsRegistry& reg) : registry(&reg) {
+OnlineMetrics::OnlineMetrics(MetricsRegistry& reg)
+    : registry(&reg), stages(reg, Stage::kGraft, Stage::kGraft) {
   windows_closed = reg.GetCounter("tw_online_windows_closed_total", "",
                                   "Streaming windows closed", "1");
   spans_ingested = reg.GetCounter("tw_online_spans_ingested_total", "",

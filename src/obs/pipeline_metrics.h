@@ -13,10 +13,12 @@
 #include <string>
 
 #include "obs/metrics.h"
+#include "obs/stage_timer.h"
 
 namespace traceweaver::obs {
 
-/// Pipeline stages timed by StageTimer (label value = StageName()).
+/// Stages timed by StageTimer (label value = StageName()): the
+/// reconstruction stages, then the serve layers.
 enum class Stage {
   kViews,      ///< SpanStore build + container view extraction.
   kSetup,      ///< Pool/task construction + dynamism detection.
@@ -29,8 +31,15 @@ enum class Stage {
   kRefit,      ///< GMM refits on inferred gaps (§4.1 step 6).
   kStitch,     ///< Assignment merge + pinned-link overrides.
   kQuality,    ///< Trace-quality report computation (obs/quality.h).
+  kRead,       ///< Serve: source line read + span parse.
+  kIngest,     ///< Serve: weaver Ingest + committer OnSpan.
+  kWindow,     ///< Serve: Advance/Flush, minus the stages nested in it.
+  kGraft,      ///< Serve: late-pool graft/expire servicing.
+  kCommit,     ///< Serve: committer OnResults/Finalize + self traces.
+  kCheckpoint,  ///< Serve: store seal + checkpoint write.
 };
-inline constexpr std::size_t kStageCount = 11;
+inline constexpr std::size_t kStageCount = 11;  ///< Reconstruction stages.
+inline constexpr std::size_t kAllStageCount = 17;  ///< Reconstruction + serve.
 
 const char* StageName(Stage stage);
 
@@ -40,6 +49,25 @@ struct GmmCounters {
   Counter fits;           ///< tw_gmm_fits_total: BIC sweeps completed.
   Counter em_iterations;  ///< tw_gmm_em_iterations_total: EM rounds run.
   Histogram components;   ///< tw_gmm_components: BIC-selected sizes.
+};
+
+/// tw_stage_{wall,cpu}_ns_total{stage=}, indexed by Stage (inert bundle
+/// pattern, see PipelineMetrics).
+struct StageMetrics {
+  StageMetrics() = default;
+  /// Registers stages first..last; the others stay inert. Each layer
+  /// registers only the stages it times, so building a bundle stays cheap.
+  StageMetrics(MetricsRegistry& registry, Stage first, Stage last);
+
+  /// Times the enclosing scope as `stage`, exclusive of the stages timed
+  /// inside it on the same thread (StageTimer).
+  StageTimer Time(Stage stage) const {
+    const auto i = static_cast<std::size_t>(stage);
+    return StageTimer(wall_ns[i], cpu_ns[i]);
+  }
+
+  Counter wall_ns[kAllStageCount];  ///< tw_stage_wall_ns_total{stage=}
+  Counter cpu_ns[kAllStageCount];   ///< tw_stage_cpu_ns_total{stage=}
 };
 
 struct PipelineMetrics {
@@ -60,9 +88,8 @@ struct PipelineMetrics {
   Counter run_containers;  ///< tw_run_containers_total
   Gauge threads;           ///< tw_threads
 
-  // --- Per-stage timing, indexed by Stage. ---
-  Counter stage_wall_ns[kStageCount];  ///< tw_stage_wall_ns_total{stage=}
-  Counter stage_cpu_ns[kStageCount];   ///< tw_stage_cpu_ns_total{stage=}
+  // --- Per-stage timing (the reconstruction stages). ---
+  StageMetrics stages;
 
   // --- Candidate enumeration (§4.1 step 1). ---
   Counter parents;              ///< tw_parents_total: spans with a plan.
@@ -162,6 +189,9 @@ struct OnlineMetrics {
   // --- Checkpoint / restore (recorded by the serve loop). ---
   Counter checkpoints;  ///< tw_online_checkpoints_total
   Counter restores;     ///< tw_online_restores_total
+
+  // --- Serve-layer timing (graft here, the rest in serve::Pipeline). ---
+  StageMetrics stages;  ///< Only `graft` registered.
 };
 
 }  // namespace traceweaver::obs

@@ -128,6 +128,7 @@ RunReport BuildRunReport(const RegistrySnapshot& s) {
   r.containers = s.Value("tw_run_containers_total");
   r.threads = s.Value("tw_threads");
   r.wall_ns = s.Value("tw_run_wall_ns_total");
+  r.loop_wall_ns = s.Value("tw_online_loop_wall_ns_total");
 
   r.ingest.input = s.Value("tw_ingest_spans_total");
   r.ingest.accepted = s.Value("tw_ingest_accepted_total");
@@ -139,7 +140,7 @@ RunReport BuildRunReport(const RegistrySnapshot& s) {
   r.ingest.duplicate_ids = s.Value("tw_ingest_duplicate_ids_total");
   r.ingest.suggested_slack_ns = s.Value("tw_ingest_suggested_slack_ns");
 
-  for (std::size_t st = 0; st < kStageCount; ++st) {
+  for (std::size_t st = 0; st < kAllStageCount; ++st) {
     const std::string label =
         "stage=\"" + std::string(StageName(static_cast<Stage>(st))) + "\"";
     RunReport::StageRow row;
@@ -152,7 +153,8 @@ RunReport BuildRunReport(const RegistrySnapshot& s) {
   for (RunReport::StageRow& row : r.stages) {
     row.share = Ratio(row.wall_ns, r.stage_wall_sum_ns);
   }
-  r.stage_coverage = Ratio(r.stage_wall_sum_ns, r.wall_ns);
+  r.stage_coverage = Ratio(r.stage_wall_sum_ns,
+                           r.loop_wall_ns > 0 ? r.loop_wall_ns : r.wall_ns);
 
   for (const MetricSnapshot* m : s.Family("tw_service_parents_total")) {
     RunReport::ServiceRow row;
@@ -275,7 +277,7 @@ std::string RunReportJson(const RunReport& r) {
   std::string out;
   Json j(&out);
   j.Open('{');
-  j.Field("schema", std::string("traceweaver.run_report.v7"));
+  j.Field("schema", std::string("traceweaver.run_report.v8"));
 
   j.Key("run");
   j.Open('{');
@@ -284,6 +286,7 @@ std::string RunReportJson(const RunReport& r) {
   j.Field("containers", r.containers);
   j.Field("threads", r.threads);
   j.Field("wall_ns", r.wall_ns);
+  j.Field("loop_wall_ns", r.loop_wall_ns);
   j.Close('}');
 
   j.Key("ingest");
@@ -314,7 +317,7 @@ std::string RunReportJson(const RunReport& r) {
   j.Key("stage_total");
   j.Open('{');
   j.Field("wall_ns", r.stage_wall_sum_ns);
-  j.Field("coverage_of_run_wall", r.stage_coverage);
+  j.Field("coverage", r.stage_coverage);
   j.Close('}');
 
   j.Key("services");
@@ -498,7 +501,11 @@ std::string RunReportTable(const RunReport& r) {
   out << "=== TraceWeaver run report ===\n";
   out << "runs " << r.runs << "   spans " << r.spans << "   containers "
       << r.containers << "   threads " << r.threads << "   wall "
-      << FmtNs(r.wall_ns) << " ms\n";
+      << FmtNs(r.wall_ns) << " ms";
+  if (r.loop_wall_ns > 0) {
+    out << "   serve loop " << FmtNs(r.loop_wall_ns) << " ms";
+  }
+  out << "\n";
   out << "ingest: " << r.ingest.input << " spans in, " << r.ingest.accepted
       << " clean, " << r.ingest.repaired << " repaired, "
       << r.ingest.quarantined << " quarantined, " << r.ingest.parse_errors
@@ -515,7 +522,8 @@ std::string RunReportTable(const RunReport& r) {
                    FmtPct(row.share)});
   }
   stages.AddRow({"total", FmtNs(r.stage_wall_sum_ns), "",
-                 FmtPct(r.stage_coverage) + " of run wall"});
+                 FmtPct(r.stage_coverage) +
+                     (r.loop_wall_ns > 0 ? " of serve loop" : " of run wall")});
   out << stages.Render() << '\n';
 
   if (!r.services.empty()) {

@@ -7,7 +7,7 @@
 // core/skew_estimator.h), the streaming-resilience family
 // (`tw_online_*`, core/online.h), and the decision-provenance ledger
 // (`tw_prov_*`, obs/provenance.h). Render as JSON (stable schema
-// `traceweaver.run_report.v7`, golden-tested) or as an aligned text
+// `traceweaver.run_report.v8`, golden-tested) or as an aligned text
 // table for terminals.
 #pragma once
 
@@ -25,7 +25,8 @@ struct RunReport {
   std::int64_t spans = 0;
   std::int64_t containers = 0;
   std::int64_t threads = 0;
-  std::int64_t wall_ns = 0;
+  std::int64_t wall_ns = 0;       ///< Summed Reconstruct() wall time.
+  std::int64_t loop_wall_ns = 0;  ///< Serve loop wall time (serve runs).
 
   // --- Ingestion (span validation layer, `tw_ingest_*`). ---
   struct {
@@ -39,8 +40,10 @@ struct RunReport {
     std::int64_t suggested_slack_ns = 0;
   } ingest;
 
-  // --- Stage timing (pipeline order; zero-time stages included so rows
-  // line up across runs). ---
+  // --- Stage timing (obs::Stage order: reconstruction, then the serve
+  // layers; zero-time stages included so rows line up across runs). Times
+  // are exclusive: a stage nested in another on the same thread is not
+  // counted again in the outer one (v8). ---
   struct StageRow {
     std::string stage;
     std::int64_t wall_ns = 0;
@@ -49,9 +52,9 @@ struct RunReport {
   };
   std::vector<StageRow> stages;
   std::int64_t stage_wall_sum_ns = 0;
-  /// Summed stage wall / run wall. ~1 for serial runs; can exceed 1 under
-  /// parallelism because concurrent containers accumulate stage wall
-  /// simultaneously.
+  /// Summed stage wall / the serve loop's wall on serve runs, else the
+  /// run wall. ~1 for serial runs; can exceed 1 under parallelism because
+  /// concurrent containers accumulate stage wall simultaneously.
   double stage_coverage = 0.0;
 
   // --- Per-service outcomes. ---
@@ -168,7 +171,7 @@ struct RunReport {
 /// into (see PipelineMetrics for the names consumed).
 RunReport BuildRunReport(const RegistrySnapshot& snapshot);
 
-/// Stable JSON rendering (schema `traceweaver.run_report.v7`).
+/// Stable JSON rendering (schema `traceweaver.run_report.v8`).
 std::string RunReportJson(const RunReport& report);
 
 /// Aligned text-table rendering for terminals.

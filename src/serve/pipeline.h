@@ -18,9 +18,12 @@
 // caller's: `traceweaver serve` feeds it parsed JSONL lines and serves
 // HTTP over store(); tests feed it spans. All calls come from one thread;
 // only the store may be read concurrently (store/store.h).
+//
+// Each layer runs under an obs::StageTimer of its serve stage (ingest,
+// window, commit, checkpoint; the weaver times graft, the caller read),
+// recorded into `online.metrics` with the reconstruction stages.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -32,6 +35,7 @@
 #include "core/online.h"
 #include "obs/pipeline_metrics.h"
 #include "obs/provenance.h"
+#include "obs/stage_timer.h"
 #include "serve/self_trace.h"
 #include "serve/serve_checkpoint.h"
 #include "store/committer.h"
@@ -59,8 +63,6 @@ struct PipelineOptions {
 
 class Pipeline {
  public:
-  using Clock = std::chrono::steady_clock;
-
   Pipeline(const CallGraph& graph, PipelineOptions options);
 
   /// Opens the store from its sealed segments (empty stats without a
@@ -74,15 +76,14 @@ class Pipeline {
   bool Resume(std::uint64_t* offset, std::string* error);
 
   /// Runs one span through the per-span sequence. `offset` is the source
-  /// position just past it (what a checkpoint records), `read_start` when
-  /// reading it began (the self trace's ingest stage). Returns the
+  /// position just past it (what a checkpoint records). Returns the
   /// windows it closed, valid until the next call.
   const std::vector<WindowResult>& Ingest(const Span& span,
-                                          std::uint64_t offset,
-                                          Clock::time_point read_start);
-  /// A self-trace stage timestamp: now() when self-tracing, else no
-  /// clock read.
-  Clock::time_point Stamp() const;
+                                          std::uint64_t offset);
+
+  /// Times the caller's own serve layer (reading a span: obs::Stage::kRead)
+  /// into the pipeline's stage counters.
+  obs::StageTimer Time(obs::Stage stage) const { return stages_.Time(stage); }
 
   /// End of stream at source position `offset`: flushes, commits
   /// everything pending, seals and checkpoints. Returns the windows the
@@ -109,17 +110,13 @@ class Pipeline {
  private:
   /// Seals and checkpoints with `offset` as the source offset.
   void Checkpoint(std::uint64_t offset);
-  void RecordSince(SelfStage stage, Clock::time_point begin);
-  /// Splits one Advance()/Flush() call begun at `begin` into self-trace
-  /// stage buckets.
-  void RecordAdvance(Clock::time_point begin,
-                     const std::vector<WindowResult>& results);
   void CommitSelfTraces(const std::vector<WindowResult>& results);
 
   PipelineOptions options_;
   std::unique_ptr<obs::ProvenanceLedger> ledger_;
   std::unique_ptr<OnlineTraceWeaver> weaver_;
   obs::OnlineMetrics metrics_;
+  obs::StageMetrics stages_;  ///< The serve stages (read .. checkpoint).
   std::unique_ptr<store::TraceStore> store_;
   std::unique_ptr<store::TailSampler> sampler_;
   std::unique_ptr<store::TraceCommitter> committer_;
@@ -130,9 +127,6 @@ class Pipeline {
   std::vector<std::string> warnings_;
   TimeNs watermark_ = 0;
   std::size_t since_checkpoint_ = 0;
-  /// tw_stage_wall_ns_total{stage="enumerate"} at the last window batch:
-  /// the self trace attributes each close's enumerate share by diff.
-  std::int64_t enum_wall_seen_ = 0;
 };
 
 }  // namespace traceweaver::serve

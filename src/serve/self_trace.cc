@@ -3,10 +3,6 @@
 namespace traceweaver::serve {
 namespace {
 
-constexpr const char* kStageNames[kSelfStageCount] = {
-    "ingest", "validate", "window", "enumerate",
-    "solve",  "graft",    "commit", "seal"};
-
 /// High bit marks self-trace span ids; the low bits carry the window
 /// start, so ids are unique per window and stable across restarts
 /// (replaying a window after checkpoint resume re-commits the same id,
@@ -14,10 +10,6 @@ constexpr const char* kStageNames[kSelfStageCount] = {
 constexpr SpanId kSelfTraceIdBit = SpanId{1} << 63;
 
 }  // namespace
-
-const char* SelfStageName(SelfStage stage) {
-  return kStageNames[static_cast<std::size_t>(stage)];
-}
 
 SpanId SelfTracer::CommitWindow(TimeNs window_start) {
   const SpanId root =
@@ -32,10 +24,25 @@ SpanId SelfTracer::CommitWindow(TimeNs window_start) {
   record.confidence = 1.0;
   record.min_confidence = 1.0;
 
+  // Per-stage wall time since the previous self trace.
+  DurationNs stage_ns[obs::kAllStageCount] = {};
+  if (registry_ != nullptr) {
+    const obs::RegistrySnapshot snapshot = registry_->Snapshot();
+    for (std::size_t i = 0; i < obs::kAllStageCount; ++i) {
+      const std::int64_t total = snapshot.Value(
+          "tw_stage_wall_ns_total",
+          "stage=\"" +
+              std::string(obs::StageName(static_cast<obs::Stage>(i))) +
+              "\"");
+      stage_ns[i] = total - seen_ns_[i];
+      seen_ns_[i] = total;
+    }
+  }
+
   // Children tile [window_start, window_start + total) in stage order;
   // the root covers the whole tiling. Zero-cost stages become zero-width
   // spans rather than disappearing, so every self trace has the same
-  // 1 + kSelfStageCount shape.
+  // 1 + obs::kAllStageCount shape.
   TimeNs t = window_start;
   Span root_span;
   root_span.id = root;
@@ -46,13 +53,14 @@ SpanId SelfTracer::CommitWindow(TimeNs window_start) {
   root_span.server_recv = window_start;
   record.spans.push_back(root_span);
 
-  for (std::size_t i = 0; i < kSelfStageCount; ++i) {
-    const DurationNs wall = stage_ns_[i] < 0 ? 0 : stage_ns_[i];
+  for (std::size_t i = 0; i < obs::kAllStageCount; ++i) {
+    const char* name = obs::StageName(static_cast<obs::Stage>(i));
+    const DurationNs wall = stage_ns[i];
     Span s;
     s.id = root + 1 + static_cast<SpanId>(i);
     s.caller = kSelfTraceService;
-    s.callee = std::string("_tw.") + kStageNames[i];
-    s.endpoint = std::string("/") + kStageNames[i];
+    s.callee = std::string("_tw.") + name;
+    s.endpoint = std::string("/") + name;
     s.client_send = t;
     s.server_recv = t;
     s.server_send = t + wall;
@@ -72,7 +80,6 @@ SpanId SelfTracer::CommitWindow(TimeNs window_start) {
       {obs::ProvEventType::kSettled, root,
        static_cast<std::int64_t>(record.spans.size()), "self_trace"});
 
-  for (DurationNs& ns : stage_ns_) ns = 0;
   if (!store_->Commit(std::move(record))) return kInvalidSpanId;
   ++committed_;
   return root;

@@ -1,24 +1,23 @@
 // Pipeline self-tracing: the serve loop observes itself with its own
 // data model (DESIGN.md §4j). Every processed window becomes one
 // synthetic TraceWeaver-format trace -- a root span for the window under
-// the reserved root service `_tw.pipeline` plus one child span per
-// pipeline stage (ingest -> validate -> window -> enumerate -> solve ->
-// graft -> commit -> seal) -- committed into the same TraceStore as real
-// traffic, so the pipeline's own behaviour is queryable over the HTTP
-// API and Jaeger-exportable with the exact tooling operators already use
-// for application traces.
+// the reserved root service `_tw.pipeline` plus one `_tw.<stage>` child
+// per obs::Stage, in run-report order -- committed into the same
+// TraceStore as real traffic, so it is queryable over the HTTP API and
+// Jaeger-exportable like application traces.
 //
-// Timestamps live on the *data* timebase: children tile the window
-// starting at window_start sequentially, each stretched to the stage's
-// measured wall time, so span durations read as real stage costs while
-// the trace sorts and filters alongside the window it describes. Stage
-// walls are wall-clock measurements and therefore non-deterministic run
-// to run; self-tracing is opt-in (`serve --self-trace`) and write-only
-// -- self traces never feed back into reconstruction or its metrics.
+// A child's duration is its stage's `tw_stage_wall_ns_total` growth since
+// the previous self trace: the exclusive stage time `/metrics`, the run
+// report and `--profile-stages` read. Children tile the window from
+// window_start on the *data* timebase. Stage walls are wall-clock and so
+// non-deterministic; self-tracing is opt-in (`serve --self-trace`) and
+// write-only -- self traces never feed back into reconstruction.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
+#include "obs/pipeline_metrics.h"
 #include "store/store.h"
 
 namespace traceweaver::serve {
@@ -28,38 +27,18 @@ namespace traceweaver::serve {
 /// `_tw.<stage>` callees under the same prefix.
 inline constexpr const char* kSelfTraceService = "_tw.pipeline";
 
-/// The serve-loop stages a self trace breaks a window into, in pipeline
-/// order (also the order of the child spans).
-enum class SelfStage {
-  kIngest,     ///< Reading + parsing source spans.
-  kValidate,   ///< SpanValidator admission.
-  kWindow,     ///< Weaver windowing/buffering (Advance minus the rest).
-  kEnumerate,  ///< Candidate enumeration inside CloseWindow.
-  kSolve,      ///< Score + assignment inside CloseWindow.
-  kGraft,      ///< Late-span graft servicing.
-  kCommit,     ///< Committer merge + store commit.
-  kSeal,       ///< Store seal + checkpoint write.
-};
-inline constexpr std::size_t kSelfStageCount = 8;
-
-/// Stable lower-case stage name ("ingest", ..., "seal").
-const char* SelfStageName(SelfStage stage);
-
-/// Accumulates per-stage wall time and, at each window close, commits one
-/// synthetic trace describing it. Single-threaded (the serve ingest
-/// loop); the store pointer is not owned.
+/// Commits one synthetic trace per closed window. Single-threaded (the
+/// serve ingest loop); neither pointer is owned.
 class SelfTracer {
  public:
-  explicit SelfTracer(store::TraceStore* store) : store_(store) {}
-
-  /// Adds `wall_ns` to the current window's bucket for `stage`.
-  void Record(SelfStage stage, DurationNs wall_ns) {
-    stage_ns_[static_cast<std::size_t>(stage)] += wall_ns;
-  }
+  /// `registry` holds the stage counters the children are read from;
+  /// without one every child is zero-width.
+  SelfTracer(store::TraceStore* store, const obs::MetricsRegistry* registry)
+      : store_(store), registry_(registry) {}
 
   /// Builds and commits the self trace for the window starting at
-  /// `window_start` (data timebase), then resets the stage buckets for
-  /// the next window. Returns the trace id, or kInvalidSpanId when the
+  /// `window_start` (data timebase) from the stage time recorded since
+  /// the previous one. Returns the trace id, or kInvalidSpanId when the
   /// store rejected the commit (duplicate id).
   SpanId CommitWindow(TimeNs window_start);
 
@@ -67,7 +46,9 @@ class SelfTracer {
 
  private:
   store::TraceStore* store_;
-  DurationNs stage_ns_[kSelfStageCount] = {};
+  const obs::MetricsRegistry* registry_;
+  /// tw_stage_wall_ns_total per stage at the previous self trace.
+  std::int64_t seen_ns_[obs::kAllStageCount] = {};
   std::size_t committed_ = 0;
 };
 

@@ -1,6 +1,7 @@
 #include "serve/serve_checkpoint.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -52,6 +53,10 @@ bool SaveServeCheckpoint(const std::string& dir, const ServeState& state,
   if (state.store != nullptr && !state.store->Seal(&reason)) {
     return Fail(error, "store seal failed: " + reason);
   }
+  // Created like the store directory (TraceStore::Open).
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return Fail(error, "cannot create " + dir);
   const std::string path = dir + "/checkpoint.jsonl";
   const std::string tmp = path + ".tmp";
   {

@@ -63,8 +63,8 @@ bool TraceCommitter::CommitTrace(SpanId root, obs::ProvEventType outcome) {
     children_.erase(s.id);
     parent_of_.erase(s.id);
     spans_.erase(s.id);
+    quality_.erase(s.id);
   }
-  quality_.erase(root);
 
   if (options_.sampler != nullptr) {
     const TailSampler::Decision d = options_.sampler->Decide(record);
@@ -128,16 +128,6 @@ std::size_t TraceCommitter::SweepSettled() {
   return committed;
 }
 
-void TraceCommitter::PruneQuality() {
-  for (auto it = quality_.begin(); it != quality_.end();) {
-    if (spans_.count(it->first) == 0) {
-      it = quality_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 std::size_t TraceCommitter::OnResults(
     const std::vector<WindowResult>& results) {
   std::size_t committed = 0;
@@ -150,8 +140,9 @@ std::size_t TraceCommitter::OnResults(
         children_[parent].push_back(child);
       }
     }
+    // Only pending roots need a row: CommitTrace erases its members'.
     for (const obs::TraceQuality& tq : r.trace_quality) {
-      quality_[tq.root] = tq;
+      if (spans_.count(tq.root) > 0) quality_[tq.root] = tq;
     }
     last_closed_end_ = std::max(last_closed_end_, r.window_end);
     // Spans the weaver gave up on are final now: commit what is known of
@@ -166,7 +157,6 @@ std::size_t TraceCommitter::OnResults(
     }
   }
   committed += SweepSettled();
-  PruneQuality();
   committed_ += committed;
   return committed;
 }

@@ -98,7 +98,6 @@ class TraceCommitter {
   bool CommitTrace(SpanId root,
                    obs::ProvEventType outcome = obs::ProvEventType::kSettled);
   std::size_t SweepSettled();
-  void PruneQuality();
 
   CommitterOptions options_;
   TraceStore* store_;  ///< Not owned.
@@ -107,7 +106,7 @@ class TraceCommitter {
   std::unordered_map<SpanId, SpanId> parent_of_;      ///< Committed edges.
   std::unordered_map<SpanId, std::vector<SpanId>> children_;
   /// Latest per-root quality row seen in a WindowResult (present only
-  /// when the weaver ran with compute_quality).
+  /// when the weaver ran with compute_quality), for pending roots only.
   std::unordered_map<SpanId, obs::TraceQuality> quality_;
   TimeNs last_closed_end_ = 0;
   std::size_t committed_ = 0;

@@ -23,6 +23,8 @@
 
 #include "core/explain.h"
 #include "core/trace_weaver.h"
+#include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "obs/provenance.h"
 #include "serve/http_server.h"
 #include "serve/query_service.h"
@@ -650,20 +652,46 @@ TEST_F(HttpApiTest, ProvenanceRouteErrors) {
 // Pipeline self-tracing: store -> HTTP -> Jaeger round trip.
 
 TEST_F(HttpApiTest, SelfTraceRoundTripsStoreHttpAndJaeger) {
-  SelfTracer tracer(store_.get());
-  tracer.Record(SelfStage::kIngest, Millis(2));
-  tracer.Record(SelfStage::kSolve, Millis(5));
-  tracer.Record(SelfStage::kCommit, Millis(1));
+  obs::MetricsRegistry registry;
+  const obs::StageMetrics stages(registry, obs::Stage::kViews,
+                                 obs::Stage::kCheckpoint);
+  const auto wall = [&stages](obs::Stage s) {
+    return stages.wall_ns[static_cast<std::size_t>(s)];
+  };
+  SelfTracer tracer(store_.get(), &registry);
+  wall(obs::Stage::kRead).Inc(Millis(2));
+  wall(obs::Stage::kSolve).Inc(Millis(5));
+  wall(obs::Stage::kCommit).Inc(Millis(1));
   const SpanId id = tracer.CommitWindow(Millis(4000));
   ASSERT_NE(id, kInvalidSpanId);
   EXPECT_EQ(tracer.committed(), 1u);
 
-  // Store: a first-class record under the reserved root service.
+  // Store: a first-class record under the reserved root service, one
+  // child per stage in obs::Stage order, each as long as its stage time.
   const auto rec = store_->Get(id);
   ASSERT_NE(rec, nullptr);
   EXPECT_EQ(rec->root_service, kSelfTraceService);
-  ASSERT_EQ(rec->spans.size(), 1 + kSelfStageCount);
+  ASSERT_EQ(rec->spans.size(), 1 + obs::kAllStageCount);
   EXPECT_FALSE(rec->provenance.empty());
+  const auto child_ns = [](const TraceRecord& r, obs::Stage s) {
+    const Span& span = r.spans[1 + static_cast<std::size_t>(s)];
+    EXPECT_EQ(span.callee, std::string("_tw.") + obs::StageName(s));
+    return span.client_recv - span.client_send;
+  };
+  EXPECT_EQ(child_ns(*rec, obs::Stage::kRead), Millis(2));
+  EXPECT_EQ(child_ns(*rec, obs::Stage::kSolve), Millis(5));
+  EXPECT_EQ(child_ns(*rec, obs::Stage::kCommit), Millis(1));
+  EXPECT_EQ(child_ns(*rec, obs::Stage::kWindow), 0);
+  EXPECT_EQ(rec->end - rec->start, Millis(8));
+
+  // The next window carries only the stage time recorded since.
+  wall(obs::Stage::kCommit).Inc(Millis(3));
+  const SpanId next_id = tracer.CommitWindow(Millis(5000));
+  const auto next = store_->Get(next_id);
+  ASSERT_NE(next, nullptr);
+  EXPECT_EQ(child_ns(*next, obs::Stage::kCommit), Millis(3));
+  EXPECT_EQ(child_ns(*next, obs::Stage::kRead), 0);
+  EXPECT_EQ(next->end - next->start, Millis(3));
 
   // HTTP: fetchable by id, listed under the service filter, and the
   // provenance endpoint explains it like any other trace.
@@ -673,26 +701,25 @@ TEST_F(HttpApiTest, SelfTraceRoundTripsStoreHttpAndJaeger) {
   EXPECT_NE(got.body.find("\"_tw.pipeline\""), std::string::npos);
   const HttpResult list = Get("/traces?service=_tw.pipeline");
   EXPECT_EQ(list.status, 200);
-  EXPECT_EQ(list.body, Jsonl({id}));
+  EXPECT_EQ(list.body, Jsonl({id, next_id}));
   const HttpResult prov = Get("/traces/" + std::to_string(id) +
                               "/provenance");
   EXPECT_EQ(prov.status, 200);
   EXPECT_NE(prov.body.find("self_trace"), std::string::npos);
 
-  // Jaeger: the standard exporter renders it as one 9-span trace.
+  // Jaeger: the standard exporter renders it as one 18-span trace.
   ParentAssignment assignment;
   for (const auto& [child, parent] : rec->parents) {
     assignment[child] = parent;
   }
   const std::string jaeger = TracesToJaegerJson(rec->spans, assignment);
   EXPECT_NE(jaeger.find("_tw.pipeline"), std::string::npos);
-  for (std::size_t s = 0; s < kSelfStageCount; ++s) {
-    EXPECT_NE(jaeger.find(std::string("_tw.") + SelfStageName(
-                              static_cast<SelfStage>(s))),
-              std::string::npos)
-        << SelfStageName(static_cast<SelfStage>(s));
+  for (std::size_t s = 0; s < obs::kAllStageCount; ++s) {
+    const char* name = obs::StageName(static_cast<obs::Stage>(s));
+    EXPECT_NE(jaeger.find(std::string("_tw.") + name), std::string::npos)
+        << name;
   }
-  // One trace object, not nine orphan fragments.
+  // One trace object, not eighteen orphan fragments.
   std::size_t traces = 0;
   for (std::size_t at = jaeger.find("\"spans\":["); at != std::string::npos;
        at = jaeger.find("\"spans\":[", at + 1)) {

@@ -200,6 +200,56 @@ TEST(PrometheusTest, TextFormat) {
 }
 
 // ---------------------------------------------------------------------------
+// Stage timers.
+
+/// Busy-waits `ns` of wall time on the calling thread.
+void Spin(std::uint64_t ns) {
+  const std::uint64_t until = obs::WallNowNs() + ns;
+  while (obs::WallNowNs() < until) {
+  }
+}
+
+// A timer nested in another on the same thread charges its whole time to
+// its own stage; the outer stage keeps only the remainder, so the stages
+// add up to no more than the outer scope (inclusive timing would count
+// the inner 6 ms twice). An inert nested timer leaves its time with the
+// outer stage.
+TEST(StageTimerTest, NestedTimerChargesOuterOnlyItsExclusiveTime) {
+  MetricsRegistry reg;
+  const obs::StageMetrics stages(reg, obs::Stage::kSolve, obs::Stage::kWindow);
+  const std::uint64_t wall0 = obs::WallNowNs();
+  const std::uint64_t cpu0 = obs::ThreadCpuNowNs();
+  {
+    auto outer = stages.Time(obs::Stage::kWindow);
+    Spin(2'000'000);
+    {
+      auto inner = stages.Time(obs::Stage::kSolve);
+      Spin(6'000'000);
+    }
+    {
+      const obs::StageTimer inert{obs::Counter{}, obs::Counter{}};
+      Spin(3'000'000);
+    }
+  }
+  const std::uint64_t cpu = obs::ThreadCpuNowNs() - cpu0;
+  const std::uint64_t wall = obs::WallNowNs() - wall0;
+
+  const RegistrySnapshot s = reg.Snapshot();
+  const auto stage = [&s](const char* family, const char* name) {
+    return static_cast<std::uint64_t>(
+        s.Value(family, "stage=\"" + std::string(name) + "\""));
+  };
+  const std::uint64_t outer_wall = stage("tw_stage_wall_ns_total", "window");
+  const std::uint64_t inner_wall = stage("tw_stage_wall_ns_total", "solve");
+  EXPECT_GE(inner_wall, 6'000'000u);
+  EXPECT_GE(outer_wall, 5'000'000u) << "the inert timer's 3 ms stay outer";
+  EXPECT_LE(outer_wall + inner_wall, wall);
+  EXPECT_LE(stage("tw_stage_cpu_ns_total", "window") +
+                stage("tw_stage_cpu_ns_total", "solve"),
+            cpu);
+}
+
+// ---------------------------------------------------------------------------
 // Run report.
 
 // Golden test of the empty report: pins the v1 schema, the key order and
@@ -209,12 +259,16 @@ TEST(RunReportTest, EmptyReportGoldenJson) {
   const obs::RunReport report = obs::BuildRunReport(RegistrySnapshot{});
   const std::string json = obs::RunReportJson(report);
   EXPECT_EQ(json.substr(0, 40),
-            std::string("{\"schema\":\"traceweaver.run_report.v7\",\"r")
+            std::string("{\"schema\":\"traceweaver.run_report.v8\",\"r")
                 .substr(0, 40));
-  // Every stage row is present even at zero, in pipeline order.
-  const char* kStages[] = {"views", "setup",    "enumerate", "batch",
-                           "seed",  "allocate", "rank",      "solve",
-                           "refit", "stitch",   "quality"};
+  // Every stage row is present even at zero, in pipeline order:
+  // reconstruction, then the serve layers.
+  const char* kStages[] = {"views",  "setup",    "enumerate", "batch",
+                           "seed",   "allocate", "rank",      "solve",
+                           "refit",  "stitch",   "quality",   "read",
+                           "ingest", "window",   "graft",     "commit",
+                           "checkpoint"};
+  static_assert(std::size(kStages) == obs::kAllStageCount);
   std::size_t pos = 0;
   for (const char* s : kStages) {
     const std::size_t at = json.find("\"stage\":\"" + std::string(s) + "\"");
@@ -249,7 +303,7 @@ TEST(RunReportTest, PopulatedFromPipelineNames) {
   pm.batch_size.Observe(6);
   pm.mwis_solves.Inc(2);
   pm.mwis_fallbacks.Inc(1);
-  pm.stage_wall_ns[static_cast<std::size_t>(obs::Stage::kRank)].Inc(1000);
+  pm.stages.wall_ns[static_cast<std::size_t>(obs::Stage::kRank)].Inc(1000);
   pm.ServiceParents("frontend").Inc(30);
   pm.ServiceMapped("frontend").Inc(28);
 

@@ -116,9 +116,7 @@ TEST_F(PipelineTest, OneSelfTracePerClosedWindowAcrossCrashAndReplay) {
     o.online.margin = kMargin;
     Pipeline dry(TestStream().graph, o);
     for (std::size_t i = 0; i < n && every == 0; ++i) {
-      const bool closes =
-          !dry.Ingest(TestStream().spans[i], i + 1, Pipeline::Clock::now())
-               .empty();
+      const bool closes = !dry.Ingest(TestStream().spans[i], i + 1).empty();
       if (closes && i + 1 >= n / 4) every = i + 1;
     }
   }
@@ -198,6 +196,26 @@ TEST_F(PipelineTest, FinalUnionEqualsThePerWindowAssignments) {
   EXPECT_GT(rows, TestStream().spans.size() / 2);
   EXPECT_EQ(p.weaver().assignment(), streamed);
   EXPECT_EQ(p.store(), nullptr);
+}
+
+// A checkpoint directory that does not exist yet is created, like the
+// store directory, instead of failing every checkpoint of the run.
+TEST_F(PipelineTest, CheckpointCreatesAMissingNestedDirectory) {
+  PipelineOptions o = ServeOptions(root_ / "fresh", every_);
+  o.checkpoint_dir = (root_ / "fresh" / "not" / "yet" / "ckpt").string();
+  ASSERT_FALSE(fs::exists(root_ / "fresh" / "not"));
+  Pipeline p(TestStream().graph, o);
+  ASSERT_TRUE(p.Open(nullptr).has_value());
+  for (std::size_t i = 0; i < 2 * every_; ++i) {
+    p.Ingest(TestStream().spans[i], i + 1);
+    ASSERT_EQ(p.TakeWarnings(), std::vector<std::string>{}) << "span " << i;
+  }
+  EXPECT_TRUE(fs::exists(fs::path(o.checkpoint_dir) / "checkpoint.jsonl"));
+  std::uint64_t offset = 0;
+  Pipeline resumed(TestStream().graph, o);
+  ASSERT_TRUE(resumed.Open(nullptr).has_value());
+  EXPECT_TRUE(resumed.Resume(&offset, nullptr));
+  EXPECT_EQ(offset, 2 * every_);
 }
 
 TEST_F(PipelineTest, StoreReadsWhileIngesting) {

@@ -107,8 +107,7 @@ inline std::vector<WindowResult> Feed(Pipeline& p, std::size_t from,
                                       std::size_t to) {
   std::vector<WindowResult> closed;
   for (std::size_t i = from; i < to; ++i) {
-    const auto& results =
-        p.Ingest(TestStream().spans[i], i + 1, Pipeline::Clock::now());
+    const auto& results = p.Ingest(TestStream().spans[i], i + 1);
     closed.insert(closed.end(), results.begin(), results.end());
   }
   EXPECT_TRUE(p.TakeWarnings().empty());

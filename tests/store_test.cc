@@ -16,6 +16,7 @@
 #include "store/store.h"
 #include "test_helpers.h"
 #include "trace/trace_record.h"
+#include "util/json.h"
 
 namespace traceweaver::store {
 namespace {
@@ -507,6 +508,46 @@ TEST_F(StoreTest, CommitterQualityRowsReachTheRecord) {
   EXPECT_EQ(rec->grade, 'C');
   EXPECT_NEAR(rec->confidence, 0.42, 1e-9);
   EXPECT_NEAR(rec->min_confidence, 0.17, 1e-9);
+}
+
+// Quality rows are kept for pending roots only. A row for a span already
+// committed -- as its trace's root or as a member of a tree -- would never
+// be read again, so the committer state carries none.
+TEST_F(StoreTest, CommitterKeepsNoQualityRowForCommittedSpans) {
+  TraceStore store(Dir());
+  ASSERT_TRUE(store.Open().has_value());
+  CommitterOptions copts;
+  copts.window = Millis(100);
+  copts.margin = Millis(10);
+  TraceCommitter committer(copts, &store);
+  committer.OnSpan(MakeSpan(1, kClientCaller, "A", "/a", Millis(1), Millis(9)));
+  committer.OnSpan(MakeSpan(2, "A", "B", "/b", Millis(3), Millis(7)));
+  const auto quality_rows = [&committer] {
+    std::stringstream state;
+    committer.SaveState(state);
+    std::string header;
+    std::getline(state, header);
+    return json::FieldU64(header, "quality").value_or(99);
+  };
+  const auto with_rows = [](WindowResult w, std::vector<SpanId> roots) {
+    for (const SpanId root : roots) {
+      obs::TraceQuality tq;
+      tq.root = root;
+      w.trace_quality.push_back(tq);
+    }
+    return w;
+  };
+
+  // The child's row (a fragment root in that window's view) is dropped
+  // with its tree when the trace commits.
+  committer.OnResults({with_rows(Window(0, Millis(100), {{2, 1}}), {1, 2})});
+  EXPECT_EQ(quality_rows(), 2u);
+  committer.OnResults({Window(Millis(100), Millis(200))});
+  ASSERT_EQ(store.size(), 1u);
+  EXPECT_EQ(quality_rows(), 0u);
+  // Rows arriving after the commit are not kept.
+  committer.OnResults({with_rows(Window(Millis(200), Millis(300)), {1, 2})});
+  EXPECT_EQ(quality_rows(), 0u);
 }
 
 TEST_F(StoreTest, CommitterStateRoundtrip) {

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Strict parser for TraceWeaver run reports (--report-json output).
 
-Validates the stable schema ``traceweaver.run_report.v7`` produced by
+Validates the stable schema ``traceweaver.run_report.v8`` produced by
 ``src/obs/run_report.cc`` and prints a one-line digest per section.
 Unknown or missing schema strings are a hard error: downstream tooling
 must not silently accept a report whose layout it does not understand.
@@ -10,19 +10,20 @@ Usage:
     parse_report.py <report.json>     # validate + digest
     parse_report.py --self-test       # run embedded accept/reject checks
 
-Exit status: 0 on a valid v7 report (or passing self-test), 1 otherwise.
+Exit status: 0 on a valid v8 report (or passing self-test), 1 otherwise.
 """
 
 import json
 import sys
 
-SCHEMA = "traceweaver.run_report.v7"
+SCHEMA = "traceweaver.run_report.v8"
 
-# Top-level sections a v7 report always carries, in schema order.
+# Top-level sections a v8 report always carries, in schema order.
 SECTIONS = [
     "run",
     "ingest",
     "stages",
+    "stage_total",
     "services",
     "enumeration",
     "batching",
@@ -81,6 +82,18 @@ def parse_report(text):
     for section in SECTIONS:
         if section not in report:
             raise ReportError("missing required section %r" % section)
+
+    # v8: the serve layers are stage rows too, stage time is exclusive of
+    # nested stages, and stage_total is the rows' sum.
+    try:
+        stage_sum = sum(row["wall_ns"] for row in report["stages"])
+    except (KeyError, TypeError):
+        raise ReportError("malformed stage rows: %r" % report["stages"])
+    if report["stage_total"].get("wall_ns") != stage_sum:
+        raise ReportError(
+            "stage_total.wall_ns=%r does not match the stage-row sum %d"
+            % (report["stage_total"].get("wall_ns"), stage_sum)
+        )
 
     prov = report["provenance"]
     if not isinstance(prov, dict):
@@ -179,15 +192,19 @@ def digest(report):
     return "\n".join(lines)
 
 
-# A minimal well-formed v7 report: every section present, provenance and
-# sampler rollups populated the way src/obs/run_report.cc renders them.
-GOOD_V7 = json.dumps(
+# A minimal well-formed v8 report: every section present, stage, provenance
+# and sampler rollups populated the way src/obs/run_report.cc renders them.
+GOOD_V8 = json.dumps(
     {
         "schema": SCHEMA,
         "run": {"runs": 1, "spans": 12, "containers": 3, "threads": 1},
         "ingest": {"input": 12, "accepted": 12, "repaired": 0,
                    "quarantined": 0},
-        "stages": [{"stage": "views", "wall_ns": 0}],
+        "stages": [
+            {"stage": "views", "wall_ns": 5, "cpu_ns": 4},
+            {"stage": "read", "wall_ns": 2, "cpu_ns": 2},
+        ],
+        "stage_total": {"wall_ns": 7, "coverage": 0.7},
         "services": [],
         "enumeration": {"parents": 4},
         "batching": {"batches": 1},
@@ -239,45 +256,53 @@ def self_test():
         else:
             failures.append("%s: unexpectedly accepted" % name)
 
-    expect_ok("good_v7", GOOD_V7)
+    expect_ok("good_v8", GOOD_V8)
 
-    v6 = json.loads(GOOD_V7)
-    v6["schema"] = "traceweaver.run_report.v6"
-    expect_reject("older_schema", json.dumps(v6), "unknown schema")
+    v7 = json.loads(GOOD_V8)
+    v7["schema"] = "traceweaver.run_report.v7"
+    expect_reject("older_schema", json.dumps(v7), "unknown schema")
 
-    future = json.loads(GOOD_V7)
+    future = json.loads(GOOD_V8)
     future["schema"] = "traceweaver.run_report.v99"
     expect_reject("future_schema", json.dumps(future), "unknown schema")
 
-    unrelated = json.loads(GOOD_V7)
+    unrelated = json.loads(GOOD_V8)
     unrelated["schema"] = "traceweaver.trace.v1"
     expect_reject("wrong_kind", json.dumps(unrelated), "unknown schema")
 
-    anonymous = json.loads(GOOD_V7)
+    anonymous = json.loads(GOOD_V8)
     del anonymous["schema"]
     expect_reject("missing_schema", json.dumps(anonymous), "missing required")
 
-    truncated = json.loads(GOOD_V7)
+    truncated = json.loads(GOOD_V8)
     del truncated["provenance"]
     expect_reject(
         "missing_provenance", json.dumps(truncated), "missing required"
     )
 
-    miscount = json.loads(GOOD_V7)
+    miscount = json.loads(GOOD_V8)
     miscount["provenance"]["recorded"] = 7
     expect_reject("bad_rollup", json.dumps(miscount), "does not match")
 
-    unsampled = json.loads(GOOD_V7)
+    unsampled = json.loads(GOOD_V8)
     del unsampled["sampler"]
     expect_reject(
         "missing_sampler", json.dumps(unsampled), "missing required"
     )
 
-    leaky = json.loads(GOOD_V7)
+    leaky = json.loads(GOOD_V8)
     leaky["sampler"]["shed"] = 0
     expect_reject(
         "unaccounted_sampler", json.dumps(leaky), "shed+kept sum"
     )
+
+    unsummed = json.loads(GOOD_V8)
+    unsummed["stage_total"]["wall_ns"] = 5
+    expect_reject("bad_stage_total", json.dumps(unsummed), "stage-row sum")
+
+    rowless = json.loads(GOOD_V8)
+    rowless["stages"] = [{"stage": "views"}]
+    expect_reject("malformed_stage", json.dumps(rowless), "malformed stage")
 
     expect_reject("not_json", "{nope", "not valid JSON")
 
@@ -285,7 +310,7 @@ def self_test():
         for f in failures:
             print("FAIL %s" % f, file=sys.stderr)
         return 1
-    print("parse_report self-test: 10 checks passed")
+    print("parse_report self-test: 12 checks passed")
     return 0
 
 

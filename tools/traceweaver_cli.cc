@@ -35,7 +35,9 @@
 #include "core/explain.h"
 #include "core/trace_weaver.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_metrics.h"
 #include "obs/prometheus.h"
+#include "obs/stage_timer.h"
 #include "obs/run_report.h"
 #include "obs/provenance.h"
 #include "serve/http_server.h"
@@ -1030,28 +1032,32 @@ int CmdServe(const CliFlags& flags, int, char** argv) {
 
   std::string line;
   std::uint64_t parse_errors = 0;
+  const std::uint64_t loop_start = obs::WallNowNs();
   while (!g_stop.load()) {
-    const auto t_read = pipeline.Stamp();  // Self trace's ingest stage.
-    if (!std::getline(in, line)) {
-      if (in.eof()) break;
-      // Transient read failure: reopen at the last consumed offset.
-      in = OpenWithRetry(source, flags.retries, offset);
-      if (!in) break;
-      continue;
+    std::optional<Span> span;
+    {
+      auto t = pipeline.Time(obs::Stage::kRead);
+      if (!std::getline(in, line)) {
+        if (in.eof()) break;
+        // Transient read failure: reopen at the last consumed offset.
+        in = OpenWithRetry(source, flags.retries, offset);
+        if (!in) break;
+        continue;
+      }
+      const std::streamoff pos = in.tellg();
+      if (pos >= 0) {
+        offset = static_cast<std::uint64_t>(pos);
+      } else {
+        offset += line.size() + 1;
+      }
+      if (line.empty()) continue;
+      span = SpanFromJson(line);
     }
-    const std::streamoff pos = in.tellg();
-    if (pos >= 0) {
-      offset = static_cast<std::uint64_t>(pos);
-    } else {
-      offset += line.size() + 1;
-    }
-    if (line.empty()) continue;
-    const auto span = SpanFromJson(line);
     if (!span) {
       ++parse_errors;
       continue;
     }
-    const auto& results = pipeline.Ingest(*span, offset, t_read);
+    const auto& results = pipeline.Ingest(*span, offset);
     PrintPipelineWarnings(pipeline);
     if (!flags.final_only) EmitWindowResults(results);
   }
@@ -1070,6 +1076,11 @@ int CmdServe(const CliFlags& flags, int, char** argv) {
       PrintAssignment(pipeline.weaver().assignment());
     }
   }
+  // The run report's stage-coverage denominator on serve runs.
+  registry
+      .GetCounter("tw_online_loop_wall_ns_total", "",
+                  "Serve loop wall time, first read to end of run", "ns")
+      .Inc(obs::WallNowNs() - loop_start);
   EmitObservability(flags, registry);
 
   const OnlineTraceWeaver::Stats& st = pipeline.weaver().stats();
