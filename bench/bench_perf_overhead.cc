@@ -13,8 +13,11 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
+#include <map>
+#include <sstream>
 
 #include "callgraph/inference.h"
+#include "callgraph/serialization.h"
 #include "common.h"
 #include "core/mis_solver.h"
 #include "core/online.h"
@@ -22,6 +25,9 @@
 #include "sim/apps.h"
 #include "sim/workload.h"
 #include "stats/gmm.h"
+#include "trace/checkpoint.h"
+#include "trace/jsonl_io.h"
+#include "trace/trace_record.h"
 #include "util/rng.h"
 
 namespace traceweaver::bench {
@@ -134,6 +140,164 @@ void BM_CallGraphInference(benchmark::State& state) {
 }
 BENCHMARK(BM_CallGraphInference)->Arg(10)->Arg(40)
     ->Unit(benchmark::kMillisecond);
+
+// ---------------------------------------------------------------------
+// Start-up decode: every byte a resumed `serve` reads before its first
+// span (span and record lines, checkpoint, CRC, call graph), each in
+// ns/byte at two input sizes so a superlinear decoder shows as a rising
+// number.
+
+/// Time per unit of `count` (bytes, lines) per iteration: the inverted
+/// per-second rate, printed with an SI prefix (e.g. `2.1ns`).
+benchmark::Counter TimePer(std::size_t count) {
+  return benchmark::Counter(static_cast<double>(count),
+                            benchmark::Counter::kIsIterationInvariantRate |
+                                benchmark::Counter::kInvert);
+}
+
+/// The first `n` hotel spans (ground truth included), one JSON line each.
+std::vector<std::string> SpanLines(std::size_t n) {
+  const Dataset& data = HotelDataset(600);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < n && i < data.spans.size(); ++i) {
+    lines.push_back(SpanToJson(data.spans[i], /*include_ground_truth=*/true));
+  }
+  return lines;
+}
+
+std::size_t TotalBytes(const std::vector<std::string>& lines) {
+  std::size_t bytes = 0;
+  for (const std::string& line : lines) bytes += line.size() + 1;
+  return bytes;
+}
+
+void BM_DecodeSpanLine(benchmark::State& state) {
+  const auto lines = SpanLines(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const std::string& line : lines) {
+      benchmark::DoNotOptimize(SpanFromJson(line));
+    }
+  }
+  state.counters["per_byte"] = TimePer(TotalBytes(lines));
+  state.counters["per_line"] = TimePer(lines.size());
+}
+BENCHMARK(BM_DecodeSpanLine)->Arg(1000)->Arg(10000);
+
+/// Store records of the first `n` ground-truth hotel traces: root-first
+/// spans, true parent edges and one settle event per span, as the
+/// committer writes them.
+std::vector<std::string> RecordLines(std::size_t n) {
+  const Dataset& data = HotelDataset(600);
+  std::map<TraceId, TraceRecord> traces;
+  for (const Span& s : data.spans) {
+    TraceRecord& r = traces[s.true_trace];
+    r.spans.push_back(s);
+    if (s.true_parent != kInvalidSpanId) {
+      r.parents.emplace_back(s.id, s.true_parent);
+    } else {
+      r.trace_id = s.id;
+      r.root_service = s.callee;
+      r.root_endpoint = s.endpoint;
+    }
+    r.provenance.push_back(
+        obs::ProvEvent{obs::ProvEventType::kSettled, s.id, 0, ""});
+  }
+  std::vector<std::string> lines;
+  for (auto& [id, r] : traces) {
+    if (lines.size() == n) break;
+    if (r.trace_id == kInvalidSpanId) continue;
+    std::sort(r.parents.begin(), r.parents.end());
+    r.start = r.spans.front().client_send;
+    r.end = r.spans.front().client_recv;
+    r.grade = 'A';
+    r.confidence = r.min_confidence = 0.97;
+    lines.push_back(TraceRecordToJson(r));
+  }
+  return lines;
+}
+
+void BM_DecodeRecordLine(benchmark::State& state) {
+  const auto lines = RecordLines(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const std::string& line : lines) {
+      benchmark::DoNotOptimize(TraceRecordFromJson(line));
+    }
+  }
+  state.counters["per_byte"] = TimePer(TotalBytes(lines));
+}
+BENCHMARK(BM_DecodeRecordLine)->Arg(100)->Arg(1000);
+
+/// A weaver checkpoint (with pending provenance) taken after ingesting the
+/// first `n` completion-ordered hotel spans.
+std::string WeaverCheckpoint(std::size_t n, const CallGraph& graph) {
+  std::vector<Span> stream = HotelDataset(600).spans;
+  std::sort(stream.begin(), stream.end(), [](const Span& a, const Span& b) {
+    return a.client_recv < b.client_recv;
+  });
+  obs::ProvenanceLedger ledger;
+  OnlineOptions oopts;
+  oopts.window = Millis(500);
+  oopts.margin = Millis(200);
+  oopts.provenance = &ledger;
+  OnlineTraceWeaver online(graph, oopts);
+  for (std::size_t i = 0; i < n && i < stream.size(); ++i) {
+    online.Ingest(stream[i]);
+    online.Advance(stream[i].client_recv);
+  }
+  std::ostringstream out;
+  online.SaveCheckpoint(out, {{"source_offset", n}});
+  return out.str();
+}
+
+void BM_CheckpointResume(benchmark::State& state) {
+  const CallGraph& graph = HotelDataset(600).graph;
+  const std::string bytes =
+      WeaverCheckpoint(static_cast<std::size_t>(state.range(0)), graph);
+  obs::ProvenanceLedger ledger;
+  OnlineOptions oopts;
+  oopts.window = Millis(500);
+  oopts.margin = Millis(200);
+  oopts.provenance = &ledger;
+  OnlineTraceWeaver online(graph, oopts);
+  for (auto _ : state) {
+    std::istringstream in(bytes);
+    std::string error;
+    if (!online.LoadCheckpoint(in, &error)) {
+      state.SkipWithError(error.c_str());
+      break;
+    }
+  }
+  state.counters["per_byte"] = TimePer(bytes.size());
+}
+BENCHMARK(BM_CheckpointResume)->Arg(2000)->Arg(8000);
+
+void BM_Crc32(benchmark::State& state) {
+  std::string bytes(static_cast<std::size_t>(state.range(0)), '\0');
+  Rng rng(7);
+  for (char& c : bytes) c = static_cast<char>(rng.UniformInt(0, 255));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(bytes.data(), bytes.size()));
+  }
+  state.counters["per_byte"] = TimePer(bytes.size());
+}
+BENCHMARK(BM_Crc32)->Arg(4096)->Arg(1 << 20);
+
+/// Graph load of the hotel (arg 0) or media (arg 1) graph text.
+void BM_GraphLoad(benchmark::State& state) {
+  const CallGraph graph =
+      state.range(0) == 0
+          ? HotelDataset(600).graph
+          : Prepare(sim::MakeMediaMicroservicesApp(), 100, 1.0).graph;
+  std::ostringstream out;
+  WriteCallGraph(out, graph);
+  const std::string text = out.str();
+  for (auto _ : state) {
+    std::istringstream in(text);
+    benchmark::DoNotOptimize(ReadCallGraph(in));
+  }
+  state.counters["per_byte"] = TimePer(text.size());
+}
+BENCHMARK(BM_GraphLoad)->Arg(0)->Arg(1);
 
 /// Best-of-`reps` wall time of one call per rep, in seconds.
 template <typename Fn>

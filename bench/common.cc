@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <thread>
 #include <utility>
 
 #include "baselines/fcfs.h"
@@ -56,18 +57,46 @@ void PrintHeader(const std::string& title, const std::string& paper_shape) {
   std::printf("Paper shape: %s\n\n", paper_shape.c_str());
 }
 
+namespace {
+
+/// The measuring host, read at write time so a record can never claim a
+/// machine it was not taken on: hardware threads and the CPU model.
+std::string HostDescription() {
+  std::string model = "unknown CPU";
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) == 0) {
+      const std::size_t colon = line.find(':');
+      if (colon != std::string::npos && colon + 2 <= line.size()) {
+        model = line.substr(colon + 2);
+      }
+      break;
+    }
+  }
+  return std::to_string(std::thread::hardware_concurrency()) +
+         " hardware threads (std::thread::hardware_concurrency()), " + model;
+}
+
+void WriteHeader(std::FILE* f, const std::string& tag,
+                 const std::string& baseline_commit) {
+  const std::string anchor =
+      baseline_commit.empty() ? "UNANCHORED" : baseline_commit;
+  std::fprintf(f,
+               "{\n  \"tag\": \"%s\",\n  \"baseline_commit\": \"%s\",\n"
+               "  \"host\": \"%s\",\n  \"records\": [\n",
+               tag.c_str(), anchor.c_str(), HostDescription().c_str());
+}
+
+}  // namespace
+
 std::string WriteBenchJson(const std::string& tag,
                            const std::vector<BenchRecord>& records,
                            const std::string& baseline_commit) {
   const std::string path = "BENCH_" + tag + ".json";
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return "";
-  const std::string anchor =
-      baseline_commit.empty() ? "UNANCHORED" : baseline_commit;
-  std::fprintf(f,
-               "{\n  \"tag\": \"%s\",\n  \"baseline_commit\": \"%s\",\n"
-               "  \"records\": [\n",
-               tag.c_str(), anchor.c_str());
+  WriteHeader(f, tag, baseline_commit);
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
     std::fprintf(f,
@@ -116,12 +145,7 @@ std::string WriteBenchJsonMerged(const std::string& tag,
 
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return "";
-  const std::string anchor =
-      baseline_commit.empty() ? "UNANCHORED" : baseline_commit;
-  std::fprintf(f,
-               "{\n  \"tag\": \"%s\",\n  \"baseline_commit\": \"%s\",\n"
-               "  \"records\": [\n",
-               tag.c_str(), anchor.c_str());
+  WriteHeader(f, tag, baseline_commit);
   for (std::size_t i = 0; i < preserved.size(); ++i) {
     const bool last = i + 1 == preserved.size() && records.empty();
     std::fprintf(f, "%s%s\n", preserved[i].second.c_str(), last ? "" : ",");

@@ -51,8 +51,9 @@ struct BenchRecord {
 };
 
 /// Writes `BENCH_<tag>.json` into the working directory: a JSON object with
-/// the tag, a `baseline_commit` field and a `records` array, one entry per
-/// BenchRecord. `baseline_commit` names the commit whose build was
+/// the tag, a `baseline_commit` field, a `host` field (hardware threads and
+/// CPU model, read when the file is written) and a `records` array, one
+/// entry per BenchRecord. `baseline_commit` names the commit whose build was
 /// interleaved with this one to anchor any speedup claims; pass "" when no
 /// such comparison ran and the file records "UNANCHORED" instead, marking
 /// the numbers as not comparable against the committed record. Returns the

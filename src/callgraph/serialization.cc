@@ -1,52 +1,57 @@
 #include "callgraph/serialization.h"
 
 #include <cctype>
+#include <istream>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 
 namespace traceweaver {
 namespace {
 
-/// Trims ASCII whitespace from both ends.
-std::string Trim(const std::string& s) {
-  std::size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
+/// `s` without ASCII whitespace at either end (a view, no copy).
+std::string_view Trim(std::string_view s) {
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
+    s.remove_prefix(1);
+  }
+  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
+    s.remove_suffix(1);
+  }
+  return s;
 }
 
 /// Parses one "service:/endpoint[?]" call token.
-std::optional<BackendCall> ParseCall(const std::string& token) {
-  std::string t = Trim(token);
+std::optional<BackendCall> ParseCall(std::string_view token) {
+  std::string_view t = Trim(token);
   if (t.empty()) return std::nullopt;
   BackendCall call;
   if (t.back() == '?') {
     call.optional = true;
-    t.pop_back();
+    t.remove_suffix(1);
   }
   const std::size_t colon = t.find(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= t.size()) {
+  if (colon == std::string_view::npos || colon == 0 || colon + 1 >= t.size()) {
     return std::nullopt;
   }
-  call.service = Trim(t.substr(0, colon));
-  call.endpoint = Trim(t.substr(colon + 1));
-  if (call.service.empty() || call.endpoint.empty()) return std::nullopt;
+  const std::string_view service = Trim(t.substr(0, colon));
+  const std::string_view endpoint = Trim(t.substr(colon + 1));
+  if (service.empty() || endpoint.empty()) return std::nullopt;
+  call.service = service;
+  call.endpoint = endpoint;
   return call;
 }
 
 /// Parses one "{a:/x || b:/y}" stage body (braces already stripped).
-std::optional<Stage> ParseStage(const std::string& body) {
+std::optional<Stage> ParseStage(std::string_view body) {
   Stage stage;
   std::size_t pos = 0;
   while (pos <= body.size()) {
     const std::size_t sep = body.find("||", pos);
-    const std::string token =
-        body.substr(pos, sep == std::string::npos ? std::string::npos
-                                                  : sep - pos);
-    auto call = ParseCall(token);
+    auto call = ParseCall(body.substr(
+        pos, sep == std::string_view::npos ? std::string_view::npos
+                                           : sep - pos));
     if (!call) return std::nullopt;
     stage.calls.push_back(std::move(*call));
-    if (sep == std::string::npos) break;
+    if (sep == std::string_view::npos) break;
     pos = sep + 2;
   }
   if (stage.calls.empty()) return std::nullopt;
@@ -56,22 +61,24 @@ std::optional<Stage> ParseStage(const std::string& body) {
 }  // namespace
 
 std::optional<std::pair<HandlerKey, InvocationPlan>> ParseHandlerLine(
-    const std::string& line) {
+    std::string_view line) {
+  constexpr auto npos = std::string_view::npos;
   // "<service> [<endpoint>] -> <stages or (leaf)>"
   const std::size_t lb = line.find('[');
-  const std::size_t rb = line.find(']', lb == std::string::npos ? 0 : lb);
+  const std::size_t rb = line.find(']', lb == npos ? 0 : lb);
   const std::size_t arrow = line.find("->");
-  if (lb == std::string::npos || rb == std::string::npos ||
-      arrow == std::string::npos || arrow < rb) {
+  if (lb == npos || rb == npos || arrow == npos || arrow < rb) {
     return std::nullopt;
   }
+  const std::string_view service = Trim(line.substr(0, lb));
+  const std::string_view endpoint = Trim(line.substr(lb + 1, rb - lb - 1));
+  if (service.empty() || endpoint.empty()) return std::nullopt;
   HandlerKey key;
-  key.service = Trim(line.substr(0, lb));
-  key.endpoint = Trim(line.substr(lb + 1, rb - lb - 1));
-  if (key.service.empty() || key.endpoint.empty()) return std::nullopt;
+  key.service = service;
+  key.endpoint = endpoint;
 
   InvocationPlan plan;
-  const std::string rest = Trim(line.substr(arrow + 2));
+  const std::string_view rest = Trim(line.substr(arrow + 2));
   if (rest == "(leaf)" || rest.empty()) {
     return std::make_pair(std::move(key), std::move(plan));
   }
@@ -79,9 +86,9 @@ std::optional<std::pair<HandlerKey, InvocationPlan>> ParseHandlerLine(
   std::size_t pos = 0;
   while (pos < rest.size()) {
     const std::size_t open = rest.find('{', pos);
-    if (open == std::string::npos) break;
+    if (open == npos) break;
     const std::size_t close = rest.find('}', open);
-    if (close == std::string::npos) return std::nullopt;
+    if (close == npos) return std::nullopt;
     auto stage = ParseStage(rest.substr(open + 1, close - open - 1));
     if (!stage) return std::nullopt;
     plan.stages.push_back(std::move(*stage));
@@ -96,13 +103,22 @@ void WriteCallGraph(std::ostream& out, const CallGraph& graph) {
 }
 
 CallGraph ReadCallGraph(std::istream& in, std::size_t* dropped) {
+  // The whole file in a few block reads; lines are parsed in place.
+  std::string text;
+  char chunk[4096];
+  while (in.read(chunk, sizeof(chunk)) || in.gcount() > 0) {
+    text.append(chunk, static_cast<std::size_t>(in.gcount()));
+  }
   CallGraph graph;
   std::size_t bad = 0;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string trimmed = Trim(line);
-    if (trimmed.empty() || trimmed[0] == '#') continue;
-    if (auto parsed = ParseHandlerLine(trimmed)) {
+  for (std::size_t pos = 0; pos < text.size();) {
+    std::size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    const std::string_view line =
+        Trim(std::string_view(text).substr(pos, nl - pos));
+    pos = nl + 1;
+    if (line.empty() || line[0] == '#') continue;
+    if (auto parsed = ParseHandlerLine(line)) {
       graph.SetPlan(parsed->first, std::move(parsed->second));
     } else {
       ++bad;

@@ -15,6 +15,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "callgraph/call_graph.h"
 
@@ -23,7 +24,7 @@ namespace traceweaver {
 /// Parses one handler line; nullopt on malformed input.
 /// Exposed for testing; most callers use ReadCallGraph.
 std::optional<std::pair<HandlerKey, InvocationPlan>> ParseHandlerLine(
-    const std::string& line);
+    std::string_view line);
 
 /// Serializes the graph in the line format above (same as ToString).
 void WriteCallGraph(std::ostream& out, const CallGraph& graph);

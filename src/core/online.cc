@@ -636,8 +636,8 @@ bool OnlineTraceWeaver::LoadCheckpoint(
     if (error != nullptr) *error = "checkpoint has no header line";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto schema = json::FieldStr(header, "schema");
+  const json::Fields header((*lines)[0]);
+  const auto schema = header.Str("schema");
   if (!schema || *schema != kCheckpointSchema) {
     if (error != nullptr) *error = "checkpoint header schema mismatch";
     return false;
@@ -647,16 +647,16 @@ bool OnlineTraceWeaver::LoadCheckpoint(
   // untouched.
   OnlineTraceWeaver fresh(graph_, options_);
   std::vector<obs::ProvEvent> prov_events;
-  fresh.started_ = json::FieldU64(header, "started").value_or(0) != 0;
-  fresh.next_window_start_ =
-      json::FieldI64(header, "next_window_start").value_or(0);
-  fresh.high_watermark_ = json::FieldI64(header, "high_watermark").value_or(0);
-  fresh.level_ = static_cast<int>(json::FieldI64(header, "level").value_or(0));
+  fresh.started_ = header.U64("started").value_or(0) != 0;
+  fresh.next_window_start_ = header.I64("next_window_start").value_or(0);
+  fresh.high_watermark_ = header.I64("high_watermark").value_or(0);
+  fresh.level_ = static_cast<int>(header.I64("level").value_or(0));
 
   WindowResult* open_pending = nullptr;
   for (std::size_t i = 1; i < lines->size(); ++i) {
-    const std::string& line = (*lines)[i];
-    const auto type = json::FieldStr(line, "ckpt");
+    // One walk per record: every decoder below reads this field table.
+    const json::Fields line((*lines)[i]);
+    const auto type = line.Str("ckpt");
     if (!type) {
       if (error != nullptr) {
         *error = "checkpoint record " + std::to_string(i) + " has no type";
@@ -671,79 +671,75 @@ bool OnlineTraceWeaver::LoadCheckpoint(
       return false;
     };
     if (*type == "buffer" || *type == "late") {
-      const auto span = SpanFromJson(line);
+      auto span = SpanFromFields(line);
       if (!span) return bad("unparseable span");
       if (*type == "buffer") {
         fresh.buffer_bytes_ += ApproxSpanBytes(*span);
-        fresh.buffer_.push_back(*span);
+        fresh.buffer_.push_back(std::move(*span));
       } else {
         LateSpan late;
-        late.span = *span;
-        late.deadline = json::FieldI64(line, "deadline").value_or(0);
+        late.span = std::move(*span);
+        late.deadline = line.I64("deadline").value_or(0);
         fresh.late_pool_.push_back(std::move(late));
       }
     } else if (*type == "commit") {
-      const auto child = json::FieldU64(line, "child");
-      const auto parent = json::FieldU64(line, "parent");
+      const auto child = line.U64("child");
+      const auto parent = line.U64("parent");
       if (!child || !parent) return bad("commit ids");
       fresh.committed_[*child] = *parent;
     } else if (*type == "slot") {
       GraftSlot slot;
-      const auto parent = json::FieldU64(line, "parent");
-      const auto pservice = json::FieldStr(line, "parent_service");
-      const auto pendpoint = json::FieldStr(line, "parent_endpoint");
-      const auto service = json::FieldStr(line, "service");
-      const auto endpoint = json::FieldStr(line, "endpoint");
+      const auto parent = line.U64("parent");
+      auto pservice = line.Str("parent_service");
+      auto pendpoint = line.Str("parent_endpoint");
+      auto service = line.Str("service");
+      auto endpoint = line.Str("endpoint");
       if (!parent || !pservice || !pendpoint || !service || !endpoint) {
         return bad("slot fields");
       }
       slot.parent = *parent;
-      slot.parent_service = *pservice;
-      slot.parent_endpoint = *pendpoint;
-      slot.server_recv = json::FieldI64(line, "server_recv").value_or(0);
-      slot.server_send = json::FieldI64(line, "server_send").value_or(0);
-      slot.callee_replica =
-          static_cast<int>(json::FieldI64(line, "replica").value_or(0));
-      slot.stage = static_cast<int>(json::FieldI64(line, "stage").value_or(0));
-      slot.call = static_cast<int>(json::FieldI64(line, "call").value_or(0));
-      slot.call_service = *service;
-      slot.call_endpoint = *endpoint;
+      slot.parent_service = std::move(*pservice);
+      slot.parent_endpoint = std::move(*pendpoint);
+      slot.server_recv = line.I64("server_recv").value_or(0);
+      slot.server_send = line.I64("server_send").value_or(0);
+      slot.callee_replica = static_cast<int>(line.I64("replica").value_or(0));
+      slot.stage = static_cast<int>(line.I64("stage").value_or(0));
+      slot.call = static_cast<int>(line.I64("call").value_or(0));
+      slot.call_service = std::move(*service);
+      slot.call_endpoint = std::move(*endpoint);
       fresh.graft_slots_.push_back(std::move(slot));
     } else if (*type == "stats") {
       Stats& s = fresh.stats_;
-      s.ingested = json::FieldU64(line, "ingested").value_or(0);
-      s.windows_closed = json::FieldU64(line, "windows_closed").value_or(0);
-      s.parents_committed =
-          json::FieldU64(line, "parents_committed").value_or(0);
-      s.windows_shed = json::FieldU64(line, "windows_shed").value_or(0);
-      s.spans_shed = json::FieldU64(line, "spans_shed").value_or(0);
-      s.admission_drops = json::FieldU64(line, "admission_drops").value_or(0);
-      s.late_spans = json::FieldU64(line, "late_spans").value_or(0);
-      s.late_grafted = json::FieldU64(line, "late_grafted").value_or(0);
-      s.late_orphans = json::FieldU64(line, "late_orphans").value_or(0);
-      s.late_dropped = json::FieldU64(line, "late_dropped").value_or(0);
+      s.ingested = line.U64("ingested").value_or(0);
+      s.windows_closed = line.U64("windows_closed").value_or(0);
+      s.parents_committed = line.U64("parents_committed").value_or(0);
+      s.windows_shed = line.U64("windows_shed").value_or(0);
+      s.spans_shed = line.U64("spans_shed").value_or(0);
+      s.admission_drops = line.U64("admission_drops").value_or(0);
+      s.late_spans = line.U64("late_spans").value_or(0);
+      s.late_grafted = line.U64("late_grafted").value_or(0);
+      s.late_orphans = line.U64("late_orphans").value_or(0);
+      s.late_dropped = line.U64("late_dropped").value_or(0);
       s.watermark_regressions =
-          json::FieldU64(line, "watermark_regressions").value_or(0);
-      s.deadline_misses = json::FieldU64(line, "deadline_misses").value_or(0);
-      s.degrade_up_steps =
-          json::FieldU64(line, "degrade_up_steps").value_or(0);
-      s.degrade_down_steps =
-          json::FieldU64(line, "degrade_down_steps").value_or(0);
+          line.U64("watermark_regressions").value_or(0);
+      s.deadline_misses = line.U64("deadline_misses").value_or(0);
+      s.degrade_up_steps = line.U64("degrade_up_steps").value_or(0);
+      s.degrade_down_steps = line.U64("degrade_down_steps").value_or(0);
     } else if (*type == "pendingw") {
       WindowResult pending;
-      pending.window_start = json::FieldI64(line, "start").value_or(0);
-      pending.window_end = json::FieldI64(line, "end").value_or(0);
-      pending.shed = json::FieldU64(line, "shed").value_or(0) != 0;
+      pending.window_start = line.I64("start").value_or(0);
+      pending.window_end = line.I64("end").value_or(0);
+      pending.shed = line.U64("shed").value_or(0) != 0;
       pending.degradation_level =
-          static_cast<int>(json::FieldI64(line, "level").value_or(0));
+          static_cast<int>(line.I64("level").value_or(0));
       fresh.pending_results_.push_back(std::move(pending));
       open_pending = &fresh.pending_results_.back();
     } else if (*type == "pendingo") {
-      const auto id = json::FieldU64(line, "id");
+      const auto id = line.U64("id");
       if (!id || open_pending == nullptr) return bad("stray pending orphan");
       open_pending->orphans.push_back(*id);
     } else if (*type == "orphan") {
-      const auto id = json::FieldU64(line, "id");
+      const auto id = line.U64("id");
       if (!id) return bad("orphan id");
       fresh.pending_orphans_.push_back(*id);
     } else if (*type == "skew") {
@@ -751,14 +747,14 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         return bad("skew record");
       }
     } else if (*type == "prov") {
-      auto event = obs::ProvEventFromJson(line);
+      auto event = obs::ProvEventFromFields(line);
       if (!event) return bad("prov record");
       prov_events.push_back(std::move(*event));
     } else if (*type == "extra") {
-      const auto key = json::FieldStr(line, "key");
-      const auto value = json::FieldU64(line, "value");
+      auto key = line.Str("key");
+      const auto value = line.U64("value");
       if (!key || !value) return bad("extra field");
-      if (extra != nullptr) (*extra)[*key] = *value;
+      if (extra != nullptr) (*extra)[std::move(*key)] = *value;
     } else {
       return bad("unknown record type");
     }

@@ -247,17 +247,17 @@ std::vector<std::string> SkewEstimator::CheckpointLines() const {
   return lines;
 }
 
-bool SkewEstimator::LoadCheckpointLine(const std::string& line) {
-  const auto caller = json::FieldStr(line, "caller");
-  const auto caller_replica = json::FieldI64(line, "caller_replica");
-  const auto callee = json::FieldStr(line, "callee");
-  const auto callee_replica = json::FieldI64(line, "callee_replica");
-  const auto samples = json::FieldU64(line, "samples");
-  const auto inversions = json::FieldU64(line, "inversions");
-  const auto offset_mean = json::FieldF64(line, "offset_mean");
-  const auto offset_m2 = json::FieldF64(line, "offset_m2");
-  const auto req_gaps = json::FieldStr(line, "req_gaps");
-  const auto resp_gaps = json::FieldStr(line, "resp_gaps");
+bool SkewEstimator::LoadCheckpointLine(const json::Fields& line) {
+  const auto caller = line.Str("caller");
+  const auto caller_replica = line.I64("caller_replica");
+  const auto callee = line.Str("callee");
+  const auto callee_replica = line.I64("callee_replica");
+  const auto samples = line.U64("samples");
+  const auto inversions = line.U64("inversions");
+  const auto offset_mean = line.F64("offset_mean");
+  const auto offset_m2 = line.F64("offset_m2");
+  const auto req_gaps = line.Str("req_gaps");
+  const auto resp_gaps = line.Str("resp_gaps");
   if (!caller || !caller_replica || !callee || !callee_replica || !samples ||
       !inversions || !offset_mean || !offset_m2 || !req_gaps || !resp_gaps) {
     return false;

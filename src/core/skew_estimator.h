@@ -52,6 +52,7 @@
 
 #include "trace/span.h"
 #include "trace/span_validator.h"
+#include "util/json.h"
 
 namespace traceweaver::obs {
 class MetricsRegistry;  // obs/metrics.h
@@ -151,9 +152,9 @@ class SkewEstimator : public SkewObserver {
   /// Serializes every pair as a `"ckpt":"skew"` JSON line (checkpoint.h
   /// field conventions; doubles as %.17g so restore is bit-exact).
   std::vector<std::string> CheckpointLines() const;
-  /// Restores one pair from a `"ckpt":"skew"` line written by
-  /// CheckpointLines(); false on malformed input (estimator untouched).
-  bool LoadCheckpointLine(const std::string& line);
+  /// Restores one pair from the fields of a `"ckpt":"skew"` line written
+  /// by CheckpointLines(); false on malformed input (estimator untouched).
+  bool LoadCheckpointLine(const json::Fields& line);
 
   /// Flushes the tw_skew_* family (docs/METRICS.md) into `registry`.
   void FlushMetrics(obs::MetricsRegistry& registry) const;

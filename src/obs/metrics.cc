@@ -15,11 +15,24 @@ std::string Key(const std::string& name, const std::string& labels) {
   return name + '\x1f' + labels;
 }
 
-/// Per-thread shard cache: (registry id, shard). Registry ids are
-/// process-unique and never reused, so a stale entry for a destroyed
-/// registry can never be matched (its pointer is never dereferenced).
+/// Per-thread shard cache: (registry id, shard), oldest first. Registry
+/// ids are process-unique and never reused, so a stale entry for a
+/// destroyed registry can never be matched (its pointer is never
+/// dereferenced); a miss prunes such entries against the live set.
 thread_local std::vector<std::pair<std::uint64_t, internal::Shard*>>
     tls_shards;
+
+/// Ids of the registries alive now, ascending (ids only grow). Leaked so
+/// registries destroyed during static destruction can still deregister.
+struct LiveRegistries {
+  std::mutex mutex;
+  std::vector<std::uint64_t> ids;
+};
+
+LiveRegistries& Live() {
+  static auto* live = new LiveRegistries;
+  return *live;
+}
 
 std::uint32_t SlotsFor(MetricType type) {
   return type == MetricType::kHistogram
@@ -73,8 +86,17 @@ std::vector<const MetricSnapshot*> RegistrySnapshot::Family(
   return out;
 }
 
-MetricsRegistry::MetricsRegistry() : id_(NextRegistryId()) {}
-MetricsRegistry::~MetricsRegistry() = default;
+MetricsRegistry::MetricsRegistry() : id_(NextRegistryId()) {
+  LiveRegistries& live = Live();
+  std::lock_guard<std::mutex> lock(live.mutex);
+  live.ids.push_back(id_);
+}
+
+MetricsRegistry::~MetricsRegistry() {
+  LiveRegistries& live = Live();
+  std::lock_guard<std::mutex> lock(live.mutex);
+  live.ids.erase(std::lower_bound(live.ids.begin(), live.ids.end(), id_));
+}
 
 std::uint32_t MetricsRegistry::Register(const std::string& name,
                                         const std::string& labels,
@@ -134,8 +156,19 @@ Histogram MetricsRegistry::GetHistogram(const std::string& name,
 }
 
 internal::Shard& MetricsRegistry::LocalShard() {
-  for (const auto& [rid, shard] : tls_shards) {
-    if (rid == id_) return *shard;
+  // Newest first: a thread mostly records into the registry it made last.
+  for (auto it = tls_shards.rbegin(); it != tls_shards.rend(); ++it) {
+    if (it->first == id_) return *it->second;
+  }
+  // A miss happens once per (thread, registry): drop the entries of
+  // destroyed registries, so the cache holds at most the live ones.
+  {
+    LiveRegistries& live = Live();
+    std::lock_guard<std::mutex> lock(live.mutex);
+    std::erase_if(tls_shards, [&](const auto& entry) {
+      return !std::binary_search(live.ids.begin(), live.ids.end(),
+                                 entry.first);
+    });
   }
   auto owned = std::make_unique<internal::Shard>();
   internal::Shard* shard = owned.get();
@@ -145,6 +178,10 @@ internal::Shard& MetricsRegistry::LocalShard() {
   }
   tls_shards.emplace_back(id_, shard);
   return *shard;
+}
+
+std::size_t MetricsRegistry::ThreadShardCacheSize() {
+  return tls_shards.size();
 }
 
 RegistrySnapshot MetricsRegistry::Snapshot() const {

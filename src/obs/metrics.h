@@ -194,6 +194,10 @@ class MetricsRegistry {
 
   std::size_t num_metrics() const;
 
+  /// Entries in the calling thread's shard cache (one per registry this
+  /// thread recorded into that was still alive at its last cache miss).
+  static std::size_t ThreadShardCacheSize();
+
  private:
   friend class Counter;
   friend class Gauge;

@@ -46,19 +46,23 @@ std::string ProvEventToJson(const ProvEvent& event) {
   return out;
 }
 
-std::optional<ProvEvent> ProvEventFromJson(const std::string& text) {
-  const auto name = json::FieldStr(text, "t");
+std::optional<ProvEvent> ProvEventFromJson(std::string_view text) {
+  return ProvEventFromFields(json::Fields(text));
+}
+
+std::optional<ProvEvent> ProvEventFromFields(const json::Fields& fields) {
+  const auto name = fields.Str("t");
   if (!name) return std::nullopt;
   const auto type = ProvEventTypeFromName(*name);
   if (!type) return std::nullopt;
-  const auto span = json::FieldU64(text, "span");
-  const auto value = json::FieldI64(text, "v");
+  const auto span = fields.U64("span");
+  const auto value = fields.I64("v");
   if (!span || !value) return std::nullopt;
   ProvEvent event;
   event.type = *type;
   event.span = *span;
   event.value = *value;
-  event.detail = json::FieldStr(text, "d").value_or("");
+  event.detail = fields.Str("d").value_or("");
   return event;
 }
 

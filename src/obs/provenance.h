@@ -34,11 +34,16 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.h"
 #include "trace/span.h"
+
+namespace traceweaver::json {
+class Fields;
+}  // namespace traceweaver::json
 
 namespace traceweaver::obs {
 
@@ -88,7 +93,9 @@ struct ProvEvent {
 std::string ProvEventToJson(const ProvEvent& event);
 /// Parses ProvEventToJson output (extra fields such as a checkpoint tag
 /// are ignored); nullopt on malformed input.
-std::optional<ProvEvent> ProvEventFromJson(const std::string& text);
+std::optional<ProvEvent> ProvEventFromJson(std::string_view text);
+/// ProvEventFromJson over a line's already-walked fields.
+std::optional<ProvEvent> ProvEventFromFields(const json::Fields& fields);
 
 struct ProvenanceLedgerOptions {
   /// Hard cap on pending (recorded but not yet taken) events; overflow

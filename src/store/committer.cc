@@ -244,12 +244,12 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     if (error != nullptr && lines) *error = "empty committer state";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto n_spans = json::FieldU64(header, "spans");
-  const auto n_edges = json::FieldU64(header, "edges");
-  const auto n_quality = json::FieldU64(header, "quality");
-  const auto last_end = json::FieldI64(header, "last_closed_end");
-  const auto committed = json::FieldU64(header, "committed");
+  const json::Fields header((*lines)[0]);
+  const auto n_spans = header.U64("spans");
+  const auto n_edges = header.U64("edges");
+  const auto n_quality = header.U64("quality");
+  const auto last_end = header.I64("last_closed_end");
+  const auto committed = header.U64("committed");
   if (!n_spans || !n_edges || !n_quality || !last_end || !committed ||
       1 + *n_spans + *n_edges + *n_quality != lines->size()) {
     if (error != nullptr) *error = "committer state header mismatch";
@@ -262,16 +262,17 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
   std::unordered_map<SpanId, obs::TraceQuality> quality;
   std::size_t i = 1;
   for (std::uint64_t k = 0; k < *n_spans; ++k, ++i) {
-    const auto span = SpanFromJson((*lines)[i]);
+    auto span = SpanFromJson((*lines)[i]);
     if (!span) {
       if (error != nullptr) *error = "bad span line in committer state";
       return false;
     }
-    spans[span->id] = *span;
+    spans[span->id] = std::move(*span);
   }
   for (std::uint64_t k = 0; k < *n_edges; ++k, ++i) {
-    const auto child = json::FieldU64((*lines)[i], "child");
-    const auto parent = json::FieldU64((*lines)[i], "parent");
+    const json::Fields line((*lines)[i]);
+    const auto child = line.U64("child");
+    const auto parent = line.U64("parent");
     if (!child || !parent) {
       if (error != nullptr) *error = "bad edge line in committer state";
       return false;
@@ -281,25 +282,22 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     }
   }
   for (std::uint64_t k = 0; k < *n_quality; ++k, ++i) {
-    const std::string& line = (*lines)[i];
-    const auto root = json::FieldU64(line, "root");
-    const auto conf = json::FieldF64(line, "confidence");
-    const auto min_conf = json::FieldF64(line, "min_confidence");
-    const auto grade = json::FieldStr(line, "grade");
+    const json::Fields line((*lines)[i]);
+    const auto root = line.U64("root");
+    const auto conf = line.F64("confidence");
+    const auto min_conf = line.F64("min_confidence");
+    const auto grade = line.Str("grade");
     if (!root || !conf || !min_conf || !grade || grade->size() != 1) {
       if (error != nullptr) *error = "bad quality line in committer state";
       return false;
     }
     obs::TraceQuality tq;
     tq.root = *root;
-    tq.spans = static_cast<std::size_t>(
-        json::FieldU64(line, "tspans").value_or(0));
-    tq.parents = static_cast<std::size_t>(
-        json::FieldU64(line, "tparents").value_or(0));
-    tq.skips =
-        static_cast<std::size_t>(json::FieldU64(line, "skips").value_or(0));
-    tq.orphan = json::FieldU64(line, "orphan").value_or(0) != 0;
-    tq.suspect_orphan = json::FieldU64(line, "suspect").value_or(0) != 0;
+    tq.spans = static_cast<std::size_t>(line.U64("tspans").value_or(0));
+    tq.parents = static_cast<std::size_t>(line.U64("tparents").value_or(0));
+    tq.skips = static_cast<std::size_t>(line.U64("skips").value_or(0));
+    tq.orphan = line.U64("orphan").value_or(0) != 0;
+    tq.suspect_orphan = line.U64("suspect").value_or(0) != 0;
     tq.confidence = *conf;
     tq.min_confidence = *min_conf;
     tq.grade = (*grade)[0];

@@ -118,12 +118,12 @@ bool TailSampler::LoadState(std::istream& in, std::string* error) {
     if (error != nullptr && lines) *error = "empty sampler state";
     return false;
   }
-  const std::string& header = (*lines)[0];
-  const auto considered = json::FieldU64(header, "considered");
-  const auto shed = json::FieldU64(header, "shed");
-  const auto kept_interesting = json::FieldU64(header, "kept_interesting");
-  const auto kept_random = json::FieldU64(header, "kept_random");
-  const auto last_shed = json::FieldI64(header, "last_shed_end");
+  const json::Fields header((*lines)[0]);
+  const auto considered = header.U64("considered");
+  const auto shed = header.U64("shed");
+  const auto kept_interesting = header.U64("kept_interesting");
+  const auto kept_random = header.U64("kept_random");
+  const auto last_shed = header.I64("last_shed_end");
   if (!considered || !shed || !kept_interesting || !kept_random ||
       !last_shed) {
     if (error != nullptr) *error = "sampler state header mismatch";

@@ -58,7 +58,8 @@ class ChecksummedWriter {
 /// Reads and verifies a checksummed file produced by ChecksummedWriter.
 /// Returns the payload lines (header first) on success; nullopt with a
 /// human-readable reason in *error on truncation, footer mismatch, schema
-/// mismatch or CRC failure.
+/// mismatch or CRC failure. Reading stops after the footer line, so
+/// sections written back to back into one file read one at a time.
 std::optional<std::vector<std::string>> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error);
 

@@ -52,35 +52,37 @@ std::string SpanToJson(const Span& s, bool include_ground_truth) {
   return out;
 }
 
-std::optional<Span> SpanFromJson(const std::string& line) {
+std::optional<Span> SpanFromJson(std::string_view line) {
+  return SpanFromFields(json::Fields(line));
+}
+
+std::optional<Span> SpanFromFields(const json::Fields& fields) {
   Span s;
-  const auto id = json::FieldU64(line, "id");
-  const auto caller = json::FieldStr(line, "caller");
-  const auto callee = json::FieldStr(line, "callee");
-  const auto endpoint = json::FieldStr(line, "endpoint");
-  const auto cs = json::FieldI64(line, "client_send");
-  const auto sr = json::FieldI64(line, "server_recv");
-  const auto ss = json::FieldI64(line, "server_send");
-  const auto cr = json::FieldI64(line, "client_recv");
+  const auto id = fields.U64("id");
+  auto caller = fields.Str("caller");
+  auto callee = fields.Str("callee");
+  auto endpoint = fields.Str("endpoint");
+  const auto cs = fields.I64("client_send");
+  const auto sr = fields.I64("server_recv");
+  const auto ss = fields.I64("server_send");
+  const auto cr = fields.I64("client_recv");
   if (!id || !caller || !callee || !endpoint || !cs || !sr || !ss || !cr) {
     return std::nullopt;
   }
   s.id = *id;
-  s.caller = *caller;
-  s.callee = *callee;
-  s.endpoint = *endpoint;
+  s.caller = std::move(*caller);
+  s.callee = std::move(*callee);
+  s.endpoint = std::move(*endpoint);
   s.client_send = *cs;
   s.server_recv = *sr;
   s.server_send = *ss;
   s.client_recv = *cr;
   s.caller_replica =
-      static_cast<int>(json::FieldI64(line, "caller_replica").value_or(0));
+      static_cast<int>(fields.I64("caller_replica").value_or(0));
   s.callee_replica =
-      static_cast<int>(json::FieldI64(line, "callee_replica").value_or(0));
-  s.true_parent =
-      json::FieldU64(line, "true_parent").value_or(kInvalidSpanId);
-  s.true_trace =
-      json::FieldU64(line, "true_trace").value_or(kInvalidTraceId);
+      static_cast<int>(fields.I64("callee_replica").value_or(0));
+  s.true_parent = fields.U64("true_parent").value_or(kInvalidSpanId);
+  s.true_trace = fields.U64("true_trace").value_or(kInvalidTraceId);
   return s;
 }
 

@@ -9,9 +9,11 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "trace/span.h"
+#include "util/json.h"
 
 namespace traceweaver {
 
@@ -20,7 +22,11 @@ std::string SpanToJson(const Span& s, bool include_ground_truth = false);
 
 /// Parses a span from a JSON line produced by SpanToJson. Returns nullopt
 /// on malformed input (missing required fields, bad numbers).
-std::optional<Span> SpanFromJson(const std::string& line);
+std::optional<Span> SpanFromJson(std::string_view line);
+
+/// SpanFromJson over a line's already-walked fields, for records that
+/// carry a span's fields beside their own (checkpoint span lines).
+std::optional<Span> SpanFromFields(const json::Fields& fields);
 
 /// Writes the whole population, one line per span.
 void WriteSpansJsonl(std::ostream& out, const std::vector<Span>& spans,

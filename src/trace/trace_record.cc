@@ -1,7 +1,7 @@
 #include "trace/trace_record.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 
 #include "trace/jsonl_io.h"
 #include "util/json.h"
@@ -21,52 +21,38 @@ void AppendBool(std::string& out, const char* key, bool v) {
   out += v ? "\":true" : "\":false";
 }
 
-bool TopLevelBool(const std::string& line, const char* key) {
-  const std::size_t pos = json::FindValue(line, key);
-  return pos != std::string::npos && line.compare(pos, 4, "true") == 0;
-}
-
-/// Splits a JSON array of objects starting at line[pos] == '['. Elements
-/// are returned verbatim; returns false on malformed framing.
-bool SplitObjectArray(const std::string& line, std::size_t pos,
-                      std::vector<std::string>& elements) {
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
-    return false;
+/// strtoull(s, &end, 10) bounded to `s`: leading whitespace, an optional
+/// sign (a '-' negates modulo 2^64), decimal digits, ULLONG_MAX on
+/// overflow. *consumed is 0 when no digit was read.
+std::uint64_t ParseStrtoull(std::string_view s, std::size_t* consumed) {
+  std::size_t pos = 0;
+  const auto is_space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  while (pos < s.size() && is_space(s[pos])) ++pos;
+  bool negative = false;
+  if (pos < s.size() && (s[pos] == '+' || s[pos] == '-')) {
+    negative = s[pos] == '-';
+    ++pos;
   }
-  ++pos;
-  while (pos < line.size()) {
-    if (line[pos] == ']') return true;
-    if (line[pos] == ',') {
-      ++pos;
-      continue;
+  const std::size_t digits = pos;
+  std::uint64_t value = 0;
+  bool overflow = false;
+  for (; pos < s.size() && s[pos] >= '0' && s[pos] <= '9'; ++pos) {
+    const auto digit = static_cast<std::uint64_t>(s[pos] - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      overflow = true;
+    } else {
+      value = value * 10 + digit;
     }
-    if (line[pos] != '{') return false;
-    const std::size_t start = pos;
-    int depth = 0;
-    bool in_string = false;
-    for (; pos < line.size(); ++pos) {
-      const char c = line[pos];
-      if (in_string) {
-        if (c == '\\') {
-          ++pos;
-        } else if (c == '"') {
-          in_string = false;
-        }
-      } else if (c == '"') {
-        in_string = true;
-      } else if (c == '{') {
-        ++depth;
-      } else if (c == '}') {
-        if (--depth == 0) {
-          elements.push_back(line.substr(start, pos - start + 1));
-          ++pos;
-          break;
-        }
-      }
-    }
-    if (depth != 0) return false;
   }
-  return false;  // No closing ']'.
+  if (pos == digits) {
+    *consumed = 0;
+    return 0;
+  }
+  *consumed = pos;
+  if (overflow) return std::numeric_limits<std::uint64_t>::max();
+  return negative ? 0 - value : value;
 }
 
 }  // namespace
@@ -119,83 +105,82 @@ std::string TraceRecordToJson(const TraceRecord& record) {
   return out;
 }
 
-std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
-  // json::FindValue only matches the record's own keys, so a field of an
-  // embedded span can never shadow a record field.
-  const std::size_t spans_pos = json::FindValue(line, "spans");
-  if (spans_pos == std::string::npos) return std::nullopt;
-  const auto schema = json::FieldStr(line, "schema");
+std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
+  // One walk finds every record field; json::Fields only sees the
+  // record's own keys, so a field of an embedded span can never shadow a
+  // record field.
+  const json::Fields fields(line);
+  const auto spans_value = fields.Find("spans");
+  if (!spans_value) return std::nullopt;
+  const auto schema = fields.Str("schema");
   if (!schema || *schema != TraceRecord::kSchema) return std::nullopt;
 
   TraceRecord record;
-  const auto trace = json::FieldU64(line, "trace");
-  const auto service = json::FieldStr(line, "root_service");
-  const auto endpoint = json::FieldStr(line, "root_endpoint");
-  const auto start = json::FieldI64(line, "start");
-  const auto end = json::FieldI64(line, "end");
-  const auto grade = json::FieldStr(line, "grade");
-  const auto confidence = json::FieldF64(line, "confidence");
-  const auto min_confidence = json::FieldF64(line, "min_confidence");
+  const auto trace = fields.U64("trace");
+  auto service = fields.Str("root_service");
+  auto endpoint = fields.Str("root_endpoint");
+  const auto start = fields.I64("start");
+  const auto end = fields.I64("end");
+  const auto grade = fields.Str("grade");
+  const auto confidence = fields.F64("confidence");
+  const auto min_confidence = fields.F64("min_confidence");
   if (!trace || !service || !endpoint || !start || !end || !grade ||
       grade->size() != 1 || !confidence || !min_confidence) {
     return std::nullopt;
   }
   record.trace_id = *trace;
-  record.root_service = *service;
-  record.root_endpoint = *endpoint;
+  record.root_service = std::move(*service);
+  record.root_endpoint = std::move(*endpoint);
   record.start = *start;
   record.end = *end;
   record.grade = (*grade)[0];
   record.confidence = *confidence;
   record.min_confidence = *min_confidence;
-  record.orphan = TopLevelBool(line, "orphan");
-  record.suspect = TopLevelBool(line, "suspect");
+  record.orphan = fields.True("orphan");
+  record.suspect = fields.True("suspect");
 
-  std::vector<std::string> elements;
-  if (!SplitObjectArray(line, spans_pos, elements)) return std::nullopt;
-  record.spans.reserve(elements.size());
-  for (const std::string& element : elements) {
-    auto span = SpanFromJson(element);
+  // Nested spans decode straight from their views into the line.
+  json::ObjectArrayWalker spans(*spans_value);
+  while (spans.Next()) {
+    auto span = SpanFromJson(spans.element());
     if (!span) return std::nullopt;
     record.spans.push_back(std::move(*span));
   }
-  if (record.spans.empty()) return std::nullopt;
+  if (!spans.ok() || record.spans.empty()) return std::nullopt;
 
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
-  std::size_t pos = json::FindValue(line, "parents");
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
-    return std::nullopt;
-  }
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == ',' || line[pos] == '[') {
+  const auto parents = fields.Find("parents");
+  if (!parents) return std::nullopt;
+  const std::string_view p = *parents;
+  if (p.empty() || p[0] != '[') return std::nullopt;
+  std::size_t pos = 1;
+  while (pos < p.size() && p[pos] != ']') {
+    if (p[pos] == ',' || p[pos] == '[') {
       ++pos;
       continue;
     }
-    char* after = nullptr;
-    const SpanId child = std::strtoull(line.c_str() + pos, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ',') return std::nullopt;
-    const SpanId parent = std::strtoull(line.c_str() + pos + 1, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ']') return std::nullopt;
+    std::size_t used = 0;
+    const SpanId child = ParseStrtoull(p.substr(pos), &used);
+    pos += used;
+    if (pos >= p.size() || p[pos] != ',') return std::nullopt;
+    const SpanId parent = ParseStrtoull(p.substr(pos + 1), &used);
+    pos += 1 + used;
+    if (pos >= p.size() || p[pos] != ']') return std::nullopt;
     ++pos;
     record.parents.emplace_back(child, parent);
   }
-  if (pos >= line.size()) return std::nullopt;
+  if (pos >= p.size()) return std::nullopt;
 
   // Optional provenance block (absent on records committed without a
   // ledger and on every pre-provenance record).
-  const std::size_t prov_pos = json::FindValue(line, "provenance");
-  if (prov_pos != std::string::npos) {
-    std::vector<std::string> events;
-    if (!SplitObjectArray(line, prov_pos, events)) return std::nullopt;
-    record.provenance.reserve(events.size());
-    for (const std::string& element : events) {
-      auto event = obs::ProvEventFromJson(element);
+  if (const auto prov = fields.Find("provenance")) {
+    json::ObjectArrayWalker events(*prov);
+    while (events.Next()) {
+      auto event = obs::ProvEventFromJson(events.element());
       if (!event) return std::nullopt;
       record.provenance.push_back(std::move(*event));
     }
+    if (!events.ok()) return std::nullopt;
   }
   return record;
 }

@@ -5,17 +5,22 @@
 // Span names reach these writers from unmodified services, so they are
 // outside input: the writer escapes every byte JSON forbids raw inside a
 // string, and the reader accepts exactly JSON's escape set. Records are
-// machine-written single-line objects, so the reader is a field scanner,
-// not a DOM: FindValue() locates a key of the outermost object, skipping
-// string bodies (honoring escapes) and nested objects/arrays, so neither a
-// key embedded in a string value (a service literally named
-// `x","parent":9`) nor a key of a nested span object ever matches.
+// machine-written single-line objects, so the reader is a field walker,
+// not a DOM: FieldWalker makes one forward pass over a line and yields
+// the outermost object's keys, skipping string bodies (honoring escapes)
+// and nested objects/arrays, so neither a key embedded in a string value
+// (a service literally named `x","parent":9`) nor a key of a nested span
+// object ever matches. Values are decoded only when a decoder asks, and
+// the first occurrence of a key wins.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace traceweaver::json {
 
@@ -29,19 +34,109 @@ void AppendStr(std::string& out, std::string_view value);
 void AppendStrField(std::string& out, const char* key,
                     std::string_view value);
 
-/// Position of the value of the outermost object's `"key":` in `text`
-/// (whitespace around the colon tolerated), or npos.
-std::size_t FindValue(const std::string& text, const char* key);
+/// One forward walk over the fields of the outermost object of `text`:
+/// every string outside nested objects/arrays that is followed by `:`
+/// (whitespace around the colon tolerated) is a key. This is the repo's
+/// only field scanner; FindValue, Fields and the Field* helpers are thin
+/// wrappers over it. An unterminated string ends the walk.
+class FieldWalker {
+ public:
+  explicit FieldWalker(std::string_view text) : text_(text) {}
 
-std::optional<std::uint64_t> FieldU64(const std::string& text,
-                                      const char* key);
-std::optional<std::int64_t> FieldI64(const std::string& text,
-                                     const char* key);
-std::optional<double> FieldF64(const std::string& text, const char* key);
-/// Decodes \" \\ \/ \b \f \n \r \t and \uXXXX (surrogate pairs combine;
-/// the result is UTF-8). Any other escape, a lone surrogate or an
-/// unterminated string yields nullopt.
-std::optional<std::string> FieldStr(const std::string& text,
-                                    const char* key);
+  /// Advances to the next key; false once the text is exhausted.
+  bool Next();
+
+  /// The key's raw bytes between its quotes (escapes are not decoded, so
+  /// a key matches only its literal spelling).
+  std::string_view key() const { return key_; }
+
+  /// Offset of the value's first byte in the walked text.
+  std::size_t value_pos() const { return value_pos_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  int depth_ = 0;
+  std::string_view key_;
+  std::size_t value_pos_ = 0;
+};
+
+/// Position of the value of the first outermost-object `"key":` in
+/// `text`, or npos.
+std::size_t FindValue(std::string_view text, std::string_view key);
+
+/// Every field of one line, found in a single FieldWalker pass; lookups
+/// then touch only the field table, never the line again. Views point
+/// into the walked text, which must outlive this object.
+class Fields {
+ public:
+  explicit Fields(std::string_view text);
+
+  /// The value view of `key`'s first occurrence, or nullopt.
+  std::optional<std::string_view> Find(std::string_view key) const;
+
+  std::optional<std::uint64_t> U64(std::string_view key) const;
+  std::optional<std::int64_t> I64(std::string_view key) const;
+  std::optional<double> F64(std::string_view key) const;
+  std::optional<std::string> Str(std::string_view key) const;
+  bool True(std::string_view key) const;
+
+ private:
+  /// Offsets into text_; trivial, so the inline table costs no set-up.
+  struct Field {
+    std::size_t key_pos;
+    std::size_t key_len;
+    std::size_t value_pos;
+  };
+  /// Machine-written lines carry at most ~20 fields; the rest spill.
+  static constexpr std::size_t kInline = 24;
+  static constexpr std::size_t kSlots = 64;
+
+  static std::size_t Slot(std::string_view key);
+  std::string_view KeyOf(const Field& field) const {
+    return text_.substr(field.key_pos, field.key_len);
+  }
+
+  std::string_view text_;
+  std::array<Field, kInline> inline_;
+  std::size_t count_ = 0;
+  /// Open-addressed hash of the inline fields' keys: field index + 1, or
+  /// 0 for an empty slot. Only a key's first occurrence is indexed.
+  std::array<std::uint8_t, kSlots> index_{};
+  std::vector<Field> spill_;
+};
+
+/// One-shot lookups: a walk that stops at the first `key`, then a decode.
+std::optional<std::uint64_t> FieldU64(std::string_view text,
+                                      std::string_view key);
+std::optional<std::int64_t> FieldI64(std::string_view text,
+                                     std::string_view key);
+std::optional<double> FieldF64(std::string_view text, std::string_view key);
+std::optional<std::string> FieldStr(std::string_view text,
+                                    std::string_view key);
+
+/// Walks a JSON array of objects, `[{...},{...}]`, handing out each
+/// element verbatim as a view (no copies). Framing is strict: the value
+/// must start with '[', elements must be objects, commas between them are
+/// skipped and anything else (whitespace included) is malformed.
+class ObjectArrayWalker {
+ public:
+  explicit ObjectArrayWalker(std::string_view value) : text_(value) {}
+
+  /// Advances to the next element; false at the closing ']' (ok() true)
+  /// or on malformed framing (ok() false).
+  bool Next();
+
+  std::string_view element() const { return element_; }
+  /// True once the closing ']' was reached.
+  bool ok() const { return ok_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  bool done_ = false;
+  bool ok_ = false;
+  std::string_view element_;
+};
 
 }  // namespace traceweaver::json

@@ -120,6 +120,26 @@ TEST(MetricsRegistryTest, ConcurrentIncrementsAreExact) {
   EXPECT_EQ(hist->histogram.sum, kPerThread * (kThreads * (kThreads - 1) / 2));
 }
 
+// A thread that builds registry after registry (a benchmark's spare
+// set-ups) must not pay for the dead ones: its shard cache is pruned on
+// every miss, so it stays bounded by the registries still alive.
+TEST(MetricsRegistryTest, ThreadShardCacheStaysBoundedAcrossRegistries) {
+  MetricsRegistry keeper;
+  auto kept = keeper.GetCounter("tw_keep_total", "", "h", "1");
+  kept.Inc();
+  for (int i = 0; i < 1000; ++i) {
+    MetricsRegistry reg;
+    auto c = reg.GetCounter("tw_churn_total", "", "h", "1");
+    c.Inc(3);
+    EXPECT_EQ(reg.Snapshot().Value("tw_churn_total"), 3);
+    EXPECT_LE(MetricsRegistry::ThreadShardCacheSize(), 2u) << i;
+  }
+  // The long-lived registry is still found (and not double-counted).
+  kept.Inc();
+  EXPECT_EQ(keeper.Snapshot().Value("tw_keep_total"), 2);
+  EXPECT_LE(MetricsRegistry::ThreadShardCacheSize(), 2u);
+}
+
 // ---------------------------------------------------------------------------
 // Histogram geometry.
 

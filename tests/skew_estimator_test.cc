@@ -8,6 +8,7 @@
 
 #include "core/skew_estimator.h"
 #include "trace/span.h"
+#include "util/json.h"
 
 namespace traceweaver {
 namespace {
@@ -126,7 +127,7 @@ TEST(SkewEstimator, CheckpointRoundTripIsExact) {
 
   SkewEstimator restored;
   for (const std::string& line : est.CheckpointLines()) {
-    ASSERT_TRUE(restored.LoadCheckpointLine(line)) << line;
+    ASSERT_TRUE(restored.LoadCheckpointLine(json::Fields(line))) << line;
   }
   EXPECT_EQ(restored.observations(), est.observations());
   EXPECT_EQ(restored.CheckpointLines(), est.CheckpointLines());
@@ -137,12 +138,12 @@ TEST(SkewEstimator, CheckpointRoundTripIsExact) {
 
 TEST(SkewEstimator, RejectsMalformedCheckpointLines) {
   SkewEstimator est;
-  EXPECT_FALSE(est.LoadCheckpointLine("{\"ckpt\":\"skew\"}"));
-  EXPECT_FALSE(est.LoadCheckpointLine(
+  EXPECT_FALSE(est.LoadCheckpointLine(json::Fields("{\"ckpt\":\"skew\"}")));
+  EXPECT_FALSE(est.LoadCheckpointLine(json::Fields(
       "{\"ckpt\":\"skew\",\"caller\":\"a\",\"caller_replica\":0,"
       "\"callee\":\"b\",\"callee_replica\":0,\"samples\":1,"
       "\"inversions\":0,\"offset_mean\":0,\"offset_m2\":0,"
-      "\"req_gaps\":\"5,3\",\"resp_gaps\":\"\"}"));  // Unsorted gaps.
+      "\"req_gaps\":\"5,3\",\"resp_gaps\":\"\"}")));  // Unsorted gaps.
   EXPECT_EQ(est.observations(), 0u);
 }
 

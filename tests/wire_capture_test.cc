@@ -27,8 +27,7 @@ std::vector<Span> SimSpans(double rps = 150.0) {
 
 /// Re-attaches ground truth to wire-derived spans via per-connection
 /// request order (the wire carries no ids; only tests can do this).
-void AttachTruth(const WireRendering& wire,
-                 const std::vector<Span>& originals,
+void AttachTruth(const std::vector<Span>& originals,
                  std::vector<Span>& rebuilt) {
   std::map<SpanId, const Span*> by_id;
   for (const Span& s : originals) by_id[s.id] = &s;
@@ -105,7 +104,7 @@ TEST(WireCapture, ReconstructionThroughTheFullWirePath) {
   WireRendering wire = RenderSpansToWire(spans);
   auto rebuilt = AssembleSpans(WireToEvents(wire.chunks, wire.meta));
   ASSERT_EQ(rebuilt.size(), spans.size());
-  AttachTruth(wire, spans, rebuilt);
+  AttachTruth(spans, rebuilt);
 
   sim::IsolatedReplayOptions iso;
   iso.requests_per_root = 15;
