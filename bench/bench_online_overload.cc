@@ -68,8 +68,15 @@ OverloadOutcome RunOnline(const Dataset& data, const OnlineOptions& opts) {
 }  // namespace
 }  // namespace traceweaver::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace traceweaver::bench;
+  // --baseline_commit=<sha>: the build this run was compared with, stamped
+  // into BENCH_robustness.json.
+  const std::string baseline_commit = TakeBaselineCommit(&argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s [--baseline_commit=<sha>]\n", argv[0]);
+    return 2;
+  }
   using traceweaver::Fmt;
   using traceweaver::Millis;
   using traceweaver::OnlineOptions;
@@ -175,7 +182,8 @@ int main() {
 
   // Merged write: bench_robustness owns the fault/topology/sampling rows
   // of BENCH_robustness.json; this binary refreshes only the burst rows.
-  const std::string file = WriteBenchJsonMerged("robustness", records);
+  const std::string file =
+      WriteBenchJsonMerged("robustness", records, baseline_commit);
   std::printf("\nwrote %s\n", file.c_str());
   return 0;
 }

@@ -299,15 +299,54 @@ void BM_GraphLoad(benchmark::State& state) {
 }
 BENCHMARK(BM_GraphLoad)->Arg(0)->Arg(1);
 
-/// Best-of-`reps` wall time of one call per rep, in seconds.
+// Every thread-sweep row is timed the same way: kWarmupCalls untimed
+// calls, then the best of kTimedCalls timed calls. A row with an
+// instrumented variant times both variants in ABBA order (plain first on
+// even reps, instrumented first on odd), so neither side always runs
+// first and its overhead note is not an order effect.
+constexpr int kWarmupCalls = 1;
+constexpr int kTimedCalls = 9;
+
+/// Wall time of one call of `fn`, in seconds.
 template <typename Fn>
-double BestOfSeconds(int reps, Fn&& fn) {
+double TimeOnce(Fn&& fn) {
+  const auto t0 = std::chrono::steady_clock::now();
+  fn();
+  const auto t1 = std::chrono::steady_clock::now();
+  return std::chrono::duration<double>(t1 - t0).count();
+}
+
+/// Best-of-kTimedCalls seconds of `fn`, after kWarmupCalls untimed calls.
+template <typename Fn>
+double BestOfSeconds(Fn&& fn) {
+  for (int w = 0; w < kWarmupCalls; ++w) fn();
   double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < reps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    const auto t1 = std::chrono::steady_clock::now();
-    best = std::min(best, std::chrono::duration<double>(t1 - t0).count());
+  for (int r = 0; r < kTimedCalls; ++r) best = std::min(best, TimeOnce(fn));
+  return best;
+}
+
+/// Best-of-kTimedCalls seconds of `plain` and of `instrumented`, each
+/// after kWarmupCalls untimed calls, timed in ABBA order.
+struct PairedSeconds {
+  double plain = std::numeric_limits<double>::infinity();
+  double instrumented = std::numeric_limits<double>::infinity();
+  double overhead_pct() const { return (instrumented / plain - 1.0) * 100.0; }
+};
+template <typename Plain, typename Instrumented>
+PairedSeconds InterleavedBestOf(Plain&& plain, Instrumented&& instrumented) {
+  for (int w = 0; w < kWarmupCalls; ++w) {
+    plain();
+    instrumented();
+  }
+  PairedSeconds best;
+  for (int r = 0; r < kTimedCalls; ++r) {
+    if (r % 2 == 0) {
+      best.plain = std::min(best.plain, TimeOnce(plain));
+      best.instrumented = std::min(best.instrumented, TimeOnce(instrumented));
+    } else {
+      best.instrumented = std::min(best.instrumented, TimeOnce(instrumented));
+      best.plain = std::min(best.plain, TimeOnce(plain));
+    }
   }
   return best;
 }
@@ -315,9 +354,10 @@ double BestOfSeconds(int reps, Fn&& fn) {
 /// Hand-timed sweep: full reconstruction of the multi-container hotel
 /// workload at 1, 2, 4 and 8 threads plus the single-iteration
 /// (enumeration+ranking+solving) configuration, recorded to
-/// BENCH_perf.json. The parallel pipeline is bit-deterministic, so every
-/// thread count must reproduce the serial assignment exactly -- verified
-/// here on the fly.
+/// BENCH_perf.json. Every row gets the same warm-up and repetition count
+/// (BestOfSeconds / InterleavedBestOf). The parallel pipeline is
+/// bit-deterministic, so every thread count must reproduce the serial
+/// assignment exactly -- verified here on the fly.
 void RunThreadSweep() {
   const Dataset& data = HotelDataset(600);
   std::vector<BenchRecord> records;
@@ -343,7 +383,7 @@ void RunThreadSweep() {
     TraceWeaver weaver(data.graph, opts);
     ParentAssignment got;
     const double secs =
-        BestOfSeconds(3, [&] { got = weaver.Reconstruct(data.spans).assignment; });
+        BestOfSeconds([&] { got = weaver.Reconstruct(data.spans).assignment; });
     if (threads == 1) {
       serial = got;
     } else if (got != serial) {
@@ -357,9 +397,9 @@ void RunThreadSweep() {
   {
     // Metrics-enabled serial run: the instrumentation must not change the
     // assignment (bit-identical to the plain serial run) and its cost is
-    // recorded in the note field. Plain and instrumented reps are
-    // interleaved and compared min-to-min so machine-load drift cancels
-    // out of the overhead estimate.
+    // recorded in the note field. Plain and instrumented calls are timed
+    // in ABBA order and compared min-to-min, so neither run order nor
+    // machine-load drift enters the overhead estimate.
     obs::MetricsRegistry registry;
     TraceWeaverOptions mopts;
     mopts.num_threads = 1;
@@ -369,30 +409,21 @@ void RunThreadSweep() {
     popts.num_threads = 1;
     TraceWeaver plain(data.graph, popts);
 
-    double best_plain = std::numeric_limits<double>::infinity();
-    double best_metrics = std::numeric_limits<double>::infinity();
     ParentAssignment got;
-    for (int rep = 0; rep < 9; ++rep) {
-      best_plain = std::min(
-          best_plain,
-          BestOfSeconds(1, [&] {
-            benchmark::DoNotOptimize(plain.Reconstruct(data.spans));
-          }));
-      best_metrics = std::min(best_metrics, BestOfSeconds(1, [&] {
-        got = instrumented.Reconstruct(data.spans).assignment;
-      }));
-    }
+    const PairedSeconds t = InterleavedBestOf(
+        [&] { benchmark::DoNotOptimize(plain.Reconstruct(data.spans)); },
+        [&] { got = instrumented.Reconstruct(data.spans).assignment; });
     if (got != serial) {
       std::fprintf(stderr,
                    "FATAL: metrics-enabled assignment differs from plain\n");
       std::exit(1);
     }
-    record("reconstruct_metrics", 1, best_metrics);
+    record("reconstruct_metrics", 1, t.instrumented);
     char note[128];
     std::snprintf(note, sizeof(note),
                   "metrics on; overhead %+.1f%% vs interleaved plain serial; "
                   "assignment bit-identical",
-                  (best_metrics / best_plain - 1.0) * 100.0);
+                  t.overhead_pct());
     records.back().note = note;
     std::printf("  %s\n", note);
     const std::string report = WriteRunReportJson("perf", registry);
@@ -400,7 +431,7 @@ void RunThreadSweep() {
   }
   {
     // Quality-enabled serial run, measured like the metrics run above:
-    // interleaved with a plain run, min-to-min. The quality pass is
+    // ABBA-interleaved with a plain run, min-to-min. The quality pass is
     // observation-only, so the assignment must stay bit-identical and the
     // cost must stay small (target: <= 3% overhead).
     TraceWeaverOptions qopts;
@@ -411,37 +442,28 @@ void RunThreadSweep() {
     popts.num_threads = 1;
     TraceWeaver plain(data.graph, popts);
 
-    double best_plain = std::numeric_limits<double>::infinity();
-    double best_quality = std::numeric_limits<double>::infinity();
     ParentAssignment got;
-    for (int rep = 0; rep < 9; ++rep) {
-      best_plain = std::min(
-          best_plain,
-          BestOfSeconds(1, [&] {
-            benchmark::DoNotOptimize(plain.Reconstruct(data.spans));
-          }));
-      best_quality = std::min(best_quality, BestOfSeconds(1, [&] {
-        got = quality.Reconstruct(data.spans).assignment;
-      }));
-    }
+    const PairedSeconds t = InterleavedBestOf(
+        [&] { benchmark::DoNotOptimize(plain.Reconstruct(data.spans)); },
+        [&] { got = quality.Reconstruct(data.spans).assignment; });
     if (got != serial) {
       std::fprintf(stderr,
                    "FATAL: quality-enabled assignment differs from plain\n");
       std::exit(1);
     }
-    record("reconstruct_quality", 1, best_quality);
+    record("reconstruct_quality", 1, t.instrumented);
     char note[128];
     std::snprintf(note, sizeof(note),
                   "quality on; overhead %+.1f%% vs interleaved plain serial; "
                   "assignment bit-identical",
-                  (best_quality / best_plain - 1.0) * 100.0);
+                  t.overhead_pct());
     records.back().note = note;
     std::printf("  %s\n", note);
   }
   {
     // Provenance-enabled online streaming run (DESIGN.md §4j), measured
-    // like the metrics/quality runs above: interleaved with a ledger-less
-    // run of the identical stream, min-to-min. The ledger is
+    // like the metrics/quality runs above: ABBA-interleaved with a
+    // ledger-less run of the identical stream, min-to-min. The ledger is
     // observation-only, so the committed assignment must stay
     // bit-identical and the cost must stay under the 3% gate.
     std::vector<Span> stream = data.spans;
@@ -463,26 +485,22 @@ void RunThreadSweep() {
       online.Flush();
       return online.assignment();
     };
-    double best_plain = std::numeric_limits<double>::infinity();
-    double best_prov = std::numeric_limits<double>::infinity();
     ParentAssignment with_ledger;
     ParentAssignment without_ledger;
-    for (int rep = 0; rep < 9; ++rep) {
-      best_plain = std::min(
-          best_plain, BestOfSeconds(1, [&] { without_ledger = run(nullptr); }));
-      best_prov = std::min(best_prov, BestOfSeconds(1, [&] {
-        // Fresh ledger per rep so every rep records the same event load.
-        obs::ProvenanceLedger ledger;
-        with_ledger = run(&ledger);
-      }));
-    }
+    const PairedSeconds t = InterleavedBestOf(
+        [&] { without_ledger = run(nullptr); },
+        [&] {
+          // Fresh ledger per call so every call records the same events.
+          obs::ProvenanceLedger ledger;
+          with_ledger = run(&ledger);
+        });
     if (with_ledger != without_ledger) {
       std::fprintf(stderr,
                    "FATAL: provenance-enabled assignment differs from plain\n");
       std::exit(1);
     }
-    record("online_provenance", 1, best_prov);
-    const double overhead_pct = (best_prov / best_plain - 1.0) * 100.0;
+    record("online_provenance", 1, t.instrumented);
+    const double overhead_pct = t.overhead_pct();
     char note[128];
     std::snprintf(note, sizeof(note),
                   "provenance on; overhead %+.1f%% vs interleaved plain "
@@ -501,8 +519,8 @@ void RunThreadSweep() {
     TraceWeaverOptions opts;
     opts.optimizer.iterate = false;
     TraceWeaver weaver(data.graph, opts);
-    const double secs =
-        BestOfSeconds(5, [&] { benchmark::DoNotOptimize(weaver.Reconstruct(data.spans)); });
+    const double secs = BestOfSeconds(
+        [&] { benchmark::DoNotOptimize(weaver.Reconstruct(data.spans)); });
     record("single_iteration", 1, secs);
   }
   if (g_baseline_commit.empty()) {
@@ -533,17 +551,8 @@ void RunThreadSweep() {
 int main(int argc, char** argv) {
   // Strip --baseline_commit=<sha> before google-benchmark sees the argv;
   // it rejects flags it does not recognise.
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const std::string prefix = "--baseline_commit=";
-    if (arg.rfind(prefix, 0) == 0) {
-      traceweaver::bench::g_baseline_commit = arg.substr(prefix.size());
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
+  traceweaver::bench::g_baseline_commit =
+      traceweaver::bench::TakeBaselineCommit(&argc, argv);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

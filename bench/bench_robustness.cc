@@ -66,8 +66,15 @@ void RunFamily(const std::string& title, const Dataset& data,
 }  // namespace
 }  // namespace traceweaver::bench
 
-int main() {
+int main(int argc, char** argv) {
   using namespace traceweaver::bench;
+  // --baseline_commit=<sha>: the build this run was compared with, stamped
+  // into BENCH_robustness.json.
+  const std::string baseline_commit = TakeBaselineCommit(&argc, argv);
+  if (argc > 1) {
+    std::fprintf(stderr, "usage: %s [--baseline_commit=<sha>]\n", argv[0]);
+    return 2;
+  }
   using traceweaver::sim::FaultSpec;
   using traceweaver::Fmt;
   using traceweaver::FmtPct;
@@ -244,7 +251,8 @@ int main() {
 
   // Merged write: the burst rows of BENCH_robustness.json belong to
   // bench_online_overload; this binary refreshes every other row.
-  const std::string file = WriteBenchJsonMerged("robustness", records);
+  const std::string file =
+      WriteBenchJsonMerged("robustness", records, baseline_commit);
   std::printf("wrote %s\n", file.c_str());
   return 0;
 }

@@ -112,6 +112,22 @@ std::string WriteBenchJson(const std::string& tag,
   return path;
 }
 
+std::string TakeBaselineCommit(int* argc, char** argv) {
+  const std::string prefix = "--baseline_commit=";
+  std::string commit;
+  int kept = 1;
+  for (int i = 1; i < *argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg.rfind(prefix, 0) == 0) {
+      commit = arg.substr(prefix.size());
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  *argc = kept;
+  return commit;
+}
+
 std::string WriteBenchJsonMerged(const std::string& tag,
                                  const std::vector<BenchRecord>& records,
                                  const std::string& baseline_commit) {

@@ -62,6 +62,12 @@ std::string WriteBenchJson(const std::string& tag,
                            const std::vector<BenchRecord>& records,
                            const std::string& baseline_commit = "");
 
+/// Removes `--baseline_commit=<sha>` from argv (the rest keep their
+/// order; *argc shrinks to match) and returns the sha, or "" when absent.
+/// The benches that write BENCH_*.json take it, so a run interleaved with
+/// a baseline build can stamp that anchor into its file.
+std::string TakeBaselineCommit(int* argc, char** argv);
+
 /// Like WriteBenchJson, but merges with an existing `BENCH_<tag>.json`
 /// instead of clobbering it: rows already in the file whose name is NOT
 /// among `records` are preserved verbatim (original order, ahead of the

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
+#include <string_view>
 #include <tuple>
 #include <unordered_set>
 #include <utility>
@@ -507,7 +509,7 @@ std::vector<WindowResult> OnlineTraceWeaver::Flush() {
 }
 
 // ---------------------------------------------------------------------
-// Checkpoint/restore (schema traceweaver.checkpoint.v2; IO layer in
+// Checkpoint/restore (schema traceweaver.checkpoint.v3; IO layer in
 // trace/checkpoint.h).
 
 void OnlineTraceWeaver::SaveCheckpoint(
@@ -566,9 +568,14 @@ void OnlineTraceWeaver::SaveCheckpoint(
     std::vector<std::pair<SpanId, SpanId>> commits(committed_.begin(),
                                                    committed_.end());
     std::sort(commits.begin(), commits.end());
-    for (const auto& [child, parent] : commits) {
-      w.WriteLine("{\"ckpt\":\"commit\",\"child\":" + std::to_string(child) +
-                  ",\"parent\":" + std::to_string(parent) + '}');
+    // Packed runs: {"ckpt":"commits","n":K,"pairs":[[child,parent],...]}.
+    for (std::size_t begin = 0; begin < commits.size(); begin += kCommitRun) {
+      const std::size_t n = std::min(kCommitRun, commits.size() - begin);
+      std::string line = "{\"ckpt\":\"commits\",\"n\":" +
+                         std::to_string(n) + ",\"pairs\":";
+      json::AppendU64Pairs(line, std::span(commits).subspan(begin, n));
+      line += '}';
+      w.WriteLine(line);
     }
   }
   for (const GraftSlot& s : graft_slots_) {
@@ -630,13 +637,14 @@ void OnlineTraceWeaver::SaveCheckpoint(
 bool OnlineTraceWeaver::LoadCheckpoint(
     std::istream& in, std::string* error,
     std::map<std::string, std::uint64_t>* extra) {
-  const auto lines = ReadChecksummedLines(in, kCheckpointSchema, error);
-  if (!lines) return false;
-  if (lines->empty()) {
+  const auto section = ReadChecksummedLines(in, kCheckpointSchema, error);
+  if (!section) return false;
+  const std::vector<std::string_view>& lines = section->lines;
+  if (lines.empty()) {
     if (error != nullptr) *error = "checkpoint has no header line";
     return false;
   }
-  const json::Fields header((*lines)[0]);
+  const json::Fields header(lines[0]);
   const auto schema = header.Str("schema");
   if (!schema || *schema != kCheckpointSchema) {
     if (error != nullptr) *error = "checkpoint header schema mismatch";
@@ -653,9 +661,9 @@ bool OnlineTraceWeaver::LoadCheckpoint(
   fresh.level_ = static_cast<int>(header.I64("level").value_or(0));
 
   WindowResult* open_pending = nullptr;
-  for (std::size_t i = 1; i < lines->size(); ++i) {
+  for (std::size_t i = 1; i < lines.size(); ++i) {
     // One walk per record: every decoder below reads this field table.
-    const json::Fields line((*lines)[i]);
+    const json::Fields line(lines[i]);
     const auto type = line.Str("ckpt");
     if (!type) {
       if (error != nullptr) {
@@ -682,11 +690,17 @@ bool OnlineTraceWeaver::LoadCheckpoint(
         late.deadline = line.I64("deadline").value_or(0);
         fresh.late_pool_.push_back(std::move(late));
       }
-    } else if (*type == "commit") {
-      const auto child = line.U64("child");
-      const auto parent = line.U64("parent");
-      if (!child || !parent) return bad("commit ids");
-      fresh.committed_[*child] = *parent;
+    } else if (*type == "commits") {
+      // A run must be one whole line whose pair count matches its "n".
+      const auto n = line.U64("n");
+      const auto pairs_value = line.Find("pairs");
+      if (!n || !pairs_value || !line.closed()) return bad("commit run");
+      json::U64PairWalker pairs(*pairs_value);
+      std::uint64_t count = 0;
+      for (; pairs.Next(); ++count) {
+        fresh.committed_[pairs.first()] = pairs.second();
+      }
+      if (!pairs.ok() || count != *n) return bad("commit run");
     } else if (*type == "slot") {
       GraftSlot slot;
       const auto parent = line.U64("parent");

@@ -39,9 +39,11 @@
 //   * Checkpoint/restore. SaveCheckpoint()/LoadCheckpoint() serialize the
 //     full streaming state (buffer, committed assignments, late pool,
 //     graft slots, watermark, ladder position) as a CRC-guarded
-//     `traceweaver.checkpoint.v2` JSONL stream
+//     `traceweaver.checkpoint.v3` JSONL stream
 //     (trace/checkpoint.h), so a killed serve loop resumes within one
 //     window of where it died without losing or duplicating commitments.
+//     Committed assignments are written as packed runs of up to
+//     kCommitRun [child,parent] pairs per line, sorted by child.
 #pragma once
 
 #include <iosfwd>
@@ -136,7 +138,9 @@ class OnlineTraceWeaver {
  public:
   /// Schema tag of the checkpoint format (see trace/checkpoint.h).
   static constexpr const char* kCheckpointSchema =
-      "traceweaver.checkpoint.v2";
+      "traceweaver.checkpoint.v3";
+  /// Most [child,parent] pairs one `"ckpt":"commits"` line carries.
+  static constexpr std::size_t kCommitRun = 1024;
 
   OnlineTraceWeaver(CallGraph graph, OnlineOptions options = {});
   ~OnlineTraceWeaver();
@@ -190,7 +194,7 @@ class OnlineTraceWeaver {
   };
   const Stats& stats() const { return stats_; }
 
-  /// Serializes the full streaming state as `traceweaver.checkpoint.v2`
+  /// Serializes the full streaming state as `traceweaver.checkpoint.v3`
   /// JSONL with a CRC-guarded footer. `extra` carries caller scalars
   /// (e.g. the serve loop's source offset) that round-trip untouched.
   void SaveCheckpoint(

@@ -280,6 +280,7 @@ void EnumerateAll(Workspace& ws) {
   std::vector<EnumerationStats> stats(ws.tasks.size());
   std::vector<ArenaTaskStats> arena_stats(ws.tasks.size());
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
+    auto timer = ws.pm->stages.TimeItem(obs::Stage::kEnumerate);
     ParentTask& task = ws.tasks[t];
     EnumerationOptions task_opts = eopts;
     if (!task.forced.empty()) task_opts.forced = &task.forced;
@@ -640,6 +641,7 @@ void RankCandidates(Workspace& ws, const DelayModel& model,
                     std::vector<ParentResult>& results) {
   const std::size_t top_k = ws.opts->params.max_candidates_per_span;
   ThreadPool::Run(ws.pool, ws.tasks.size(), [&](std::size_t t) {
+    auto timer = ws.pm->stages.TimeItem(obs::Stage::kRank);
     ParentTask& task = ws.tasks[t];
     if (dirty_handlers != nullptr &&
         dirty_handlers->count(
@@ -965,6 +967,7 @@ std::vector<DelayKey> RefitModel(
   // Each fit is deterministic given its samples, so fitting in parallel
   // and installing in key order gives the same model as the serial path.
   ThreadPool::Run(ws.pool, work.size(), [&](std::size_t i) {
+    auto timer = ws.pm->stages.TimeItem(obs::Stage::kRefit);
     work[i].fitted = FitGmmBicSweep(*work[i].samples, fit);
   });
 
@@ -1231,6 +1234,7 @@ ContainerResult OptimizeContainer(const ContainerView& view,
         std::vector<std::size_t> fallbacks(runs.size(), 0);
         std::vector<RunArenaStats> run_arena(runs.size());
         ThreadPool::Run(ws.pool, runs.size(), [&](std::size_t r) {
+          auto timer = pm.stages.TimeItem(obs::Stage::kSolve);
           std::unordered_set<SpanId> used;
           // Private arena per run: all conflict-graph scratch of the run's
           // batches bump-allocates here and is released wholesale when the

@@ -40,7 +40,7 @@
 // intra-vantage gaps that were never wrong.
 //
 // All state (counts, Welford moments, gap buffers) serializes as
-// `"ckpt":"skew"` lines inside the traceweaver.checkpoint.v1 stream, so
+// `"ckpt":"skew"` lines inside the traceweaver.checkpoint.v3 stream, so
 // the serve loop's kill -9 resume is bit-identical with the estimator on.
 #pragma once
 

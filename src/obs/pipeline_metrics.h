@@ -66,6 +66,17 @@ struct StageMetrics {
     return StageTimer(wall_ns[i], cpu_ns[i]);
   }
 
+  /// Times one pool work item dispatched from inside `stage`. On a pool
+  /// worker (no timer running on the thread) the item's CPU goes to the
+  /// stage's CPU row; its wall time overlaps the dispatching thread's, so
+  /// it is not counted. On the dispatching thread the stage's own timer
+  /// already covers the item, and this timer is inert.
+  StageTimer TimeItem(Stage stage) const {
+    const auto i = static_cast<std::size_t>(stage);
+    return StageTimer(Counter(),
+                      StageTimer::InStage() ? Counter() : cpu_ns[i]);
+  }
+
   Counter wall_ns[kAllStageCount];  ///< tw_stage_wall_ns_total{stage=}
   Counter cpu_ns[kAllStageCount];   ///< tw_stage_cpu_ns_total{stage=}
 };

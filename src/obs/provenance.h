@@ -27,7 +27,7 @@
 //     streams whose spans never commit.
 //
 // Pending (not yet committed) events serialize as `"ckpt":"prov"` lines
-// inside the traceweaver.checkpoint.v1 stream (core/online.h), so a
+// inside the traceweaver.checkpoint.v3 stream (core/online.h), so a
 // killed serve loop loses nothing.
 #pragma once
 

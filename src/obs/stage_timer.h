@@ -7,7 +7,9 @@
 // timer keeps only the remainder, so the stages timed on one thread add
 // up to the outermost timer's wall time. Timers on pool workers add
 // their own time, so summed stage time can exceed wall time at >1
-// thread.
+// thread. A pool work item dispatched from inside a stage charges its
+// CPU (never its wall time) to that stage when a worker runs it; see
+// StageMetrics::TimeItem.
 //
 // Wall time is steady_clock; CPU time is CLOCK_THREAD_CPUTIME_ID, the
 // calling thread's CPU only. Inert counters make the timer a no-op,
@@ -79,6 +81,9 @@ class StageTimer {
 
   StageTimer(const StageTimer&) = delete;
   StageTimer& operator=(const StageTimer&) = delete;
+
+  /// True while an armed timer runs on the calling thread.
+  static bool InStage() { return current_ != nullptr; }
 
  private:
   /// The innermost armed timer running on this thread.

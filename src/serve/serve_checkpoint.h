@@ -3,8 +3,9 @@
 // `<dir>/checkpoint.jsonl` holds consecutive CRC-framed sections
 // (trace/checkpoint.h), each ending at its own footer:
 //
-//   1. the weaver checkpoint (`traceweaver.checkpoint.v2`), carrying the
-//      source offset as its `source_offset` extra;
+//   1. the weaver checkpoint (`traceweaver.checkpoint.v3`), carrying the
+//      source offset as its `source_offset` extra and the committed
+//      assignments as packed `"ckpt":"commits"` runs;
 //   2. the committer's pending state (`traceweaver.committer.v1`), when
 //      the run has a store;
 //   3. the tail sampler's state (`traceweaver.sampler.v1`), when the run
@@ -16,6 +17,12 @@
 // new one. The store is sealed first, so everything the saved offset
 // counts as consumed is durable; a resume from an older generation just
 // replays the source tail, and the store absorbs the re-commits.
+//
+// Each section is read into one buffer and checked with one CRC, and the
+// read stops at the section's footer, so the next section starts where
+// the previous one ended. A file whose weaver section has another schema
+// (v1 or v2, from an older build) fails the resume, and serve starts
+// fresh.
 #pragma once
 
 #include <cstdint>

@@ -239,19 +239,20 @@ void TraceCommitter::SaveState(std::ostream& out) const {
 }
 
 bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
-  const auto lines = ReadChecksummedLines(in, kStateSchema, error);
-  if (!lines || lines->empty()) {
-    if (error != nullptr && lines) *error = "empty committer state";
+  const auto section = ReadChecksummedLines(in, kStateSchema, error);
+  if (!section || section->lines.empty()) {
+    if (error != nullptr && section) *error = "empty committer state";
     return false;
   }
-  const json::Fields header((*lines)[0]);
+  const std::vector<std::string_view>& lines = section->lines;
+  const json::Fields header(lines[0]);
   const auto n_spans = header.U64("spans");
   const auto n_edges = header.U64("edges");
   const auto n_quality = header.U64("quality");
   const auto last_end = header.I64("last_closed_end");
   const auto committed = header.U64("committed");
   if (!n_spans || !n_edges || !n_quality || !last_end || !committed ||
-      1 + *n_spans + *n_edges + *n_quality != lines->size()) {
+      1 + *n_spans + *n_edges + *n_quality != lines.size()) {
     if (error != nullptr) *error = "committer state header mismatch";
     return false;
   }
@@ -262,7 +263,7 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
   std::unordered_map<SpanId, obs::TraceQuality> quality;
   std::size_t i = 1;
   for (std::uint64_t k = 0; k < *n_spans; ++k, ++i) {
-    auto span = SpanFromJson((*lines)[i]);
+    auto span = SpanFromJson(lines[i]);
     if (!span) {
       if (error != nullptr) *error = "bad span line in committer state";
       return false;
@@ -270,7 +271,7 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     spans[span->id] = std::move(*span);
   }
   for (std::uint64_t k = 0; k < *n_edges; ++k, ++i) {
-    const json::Fields line((*lines)[i]);
+    const json::Fields line(lines[i]);
     const auto child = line.U64("child");
     const auto parent = line.U64("parent");
     if (!child || !parent) {
@@ -282,7 +283,7 @@ bool TraceCommitter::LoadState(std::istream& in, std::string* error) {
     }
   }
   for (std::uint64_t k = 0; k < *n_quality; ++k, ++i) {
-    const json::Fields line((*lines)[i]);
+    const json::Fields line(lines[i]);
     const auto root = line.U64("root");
     const auto conf = line.F64("confidence");
     const auto min_conf = line.F64("min_confidence");

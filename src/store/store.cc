@@ -107,16 +107,17 @@ std::optional<TraceStore::OpenStats> TraceStore::Open(std::string* error) {
     next_segment_ = std::max(next_segment_, id + 1);
     std::ifstream in(file, std::ios::binary);
     std::string reason;
-    const auto lines =
+    const auto section =
         in ? ReadChecksummedLines(in, kSegmentSchema, &reason)
            : std::nullopt;
-    bool ok = lines.has_value() && !lines->empty();
+    bool ok = section.has_value() && !section->lines.empty();
     auto part = std::make_shared<SegmentPart>();
     if (ok) {
       part->id = id;
       part->file = file;
-      for (std::size_t i = 1; i < lines->size() && ok; ++i) {
-        auto record = TraceRecordFromJson((*lines)[i]);
+      const std::vector<std::string_view>& lines = section->lines;
+      for (std::size_t i = 1; i < lines.size() && ok; ++i) {
+        auto record = TraceRecordFromJson(lines[i]);
         if (!record || known_ids_.count(record->trace_id) > 0) {
           ok = false;
           break;
@@ -307,12 +308,12 @@ std::shared_ptr<const TraceRecord> TraceStore::FetchSealed(
     return nullptr;
   }
   std::string reason;
-  const auto lines = ReadChecksummedLines(in, kSegmentSchema, &reason);
-  if (!lines || lines->size() <= line + 1) {
+  const auto section = ReadChecksummedLines(in, kSegmentSchema, &reason);
+  if (!section || section->lines.size() <= line + 1) {
     load_failures_.Inc();
     return nullptr;
   }
-  auto record = TraceRecordFromJson((*lines)[line + 1]);
+  auto record = TraceRecordFromJson(section->lines[line + 1]);
   if (!record) {
     load_failures_.Inc();
     return nullptr;

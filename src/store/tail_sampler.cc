@@ -113,12 +113,12 @@ void TailSampler::SaveState(std::ostream& out) const {
 }
 
 bool TailSampler::LoadState(std::istream& in, std::string* error) {
-  const auto lines = ReadChecksummedLines(in, kStateSchema, error);
-  if (!lines || lines->empty()) {
-    if (error != nullptr && lines) *error = "empty sampler state";
+  const auto section = ReadChecksummedLines(in, kStateSchema, error);
+  if (!section || section->lines.empty()) {
+    if (error != nullptr && section) *error = "empty sampler state";
     return false;
   }
-  const json::Fields header((*lines)[0]);
+  const json::Fields header(section->lines[0]);
   const auto considered = header.U64("considered");
   const auto shed = header.U64("shed");
   const auto kept_interesting = header.U64("kept_interesting");

@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <istream>
 #include <ostream>
 
@@ -43,6 +44,17 @@ std::uint32_t LoadLe32(const unsigned char* p) {
 
 void SetError(std::string* error, const std::string& what) {
   if (error != nullptr) *error = what;
+}
+
+/// Bytes from the read position to the end of `in` (0 when the stream
+/// cannot seek). A section is at most that long.
+std::size_t BytesLeft(std::istream& in) {
+  std::streambuf* buf = in.rdbuf();
+  const std::streampos here = buf->pubseekoff(0, std::ios::cur, std::ios::in);
+  if (here == std::streampos(-1)) return 0;
+  const std::streampos end = buf->pubseekoff(0, std::ios::end, std::ios::in);
+  buf->pubseekpos(here, std::ios::in);
+  return end > here ? static_cast<std::size_t>(end - here) : 0;
 }
 
 }  // namespace
@@ -88,41 +100,56 @@ void ChecksummedWriter::Finish() {
   out_.flush();
 }
 
-std::optional<std::vector<std::string>> ReadChecksummedLines(
+std::optional<ChecksummedSection> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error) {
-  std::vector<std::string> lines;
-  std::uint32_t crc = 0;
-  // Each line is read straight into its slot: one copy out of the stream.
-  while (std::getline(in, lines.emplace_back())) {
-    const std::string& line = lines.back();
-    if (line.rfind("{\"footer\":", 0) == 0) {
-      const json::Fields footer(line);
-      const auto fschema = footer.Str("footer");
-      const auto flines = footer.U64("lines");
-      const auto fcrc = footer.U64("crc32");
-      lines.pop_back();
-      if (!fschema || !flines || !fcrc) {
-        SetError(error, "malformed checkpoint footer");
-        return std::nullopt;
-      }
-      if (*fschema != schema) {
-        SetError(error, "checkpoint schema mismatch: found " + *fschema +
-                            ", expected " + schema);
-        return std::nullopt;
-      }
-      if (*flines != lines.size()) {
-        SetError(error, "checkpoint line count mismatch (truncated file?)");
-        return std::nullopt;
-      }
-      if (*fcrc != crc) {
-        SetError(error, "checkpoint CRC mismatch (corrupted file)");
-        return std::nullopt;
-      }
-      return lines;
+  ChecksummedSection section;
+  std::vector<char>& bytes = section.bytes;
+  // Sized once from what the stream holds: growing by doubling would copy
+  // the section several times and briefly hold twice its size.
+  bytes.reserve(BytesLeft(in));
+  std::size_t count = 0;
+  // One reused line buffer; every payload line is appended to the
+  // section buffer exactly as written, newline included, so one CRC call
+  // over the buffer checks the whole section.
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("{\"footer\":", 0) != 0) {
+      bytes.insert(bytes.end(), line.begin(), line.end());
+      bytes.push_back('\n');
+      ++count;
+      continue;
     }
-    crc = Crc32(line.data(), line.size(), crc);
-    const char nl = '\n';
-    crc = Crc32(&nl, 1, crc);
+    const json::Fields footer(line);
+    const auto fschema = footer.Str("footer");
+    const auto flines = footer.U64("lines");
+    const auto fcrc = footer.U64("crc32");
+    if (!fschema || !flines || !fcrc) {
+      SetError(error, "malformed checkpoint footer");
+      return std::nullopt;
+    }
+    if (*fschema != schema) {
+      SetError(error, "checkpoint schema mismatch: found " + *fschema +
+                          ", expected " + schema);
+      return std::nullopt;
+    }
+    if (*flines != count) {
+      SetError(error, "checkpoint line count mismatch (truncated file?)");
+      return std::nullopt;
+    }
+    if (*fcrc != Crc32(bytes.data(), bytes.size())) {
+      SetError(error, "checkpoint CRC mismatch (corrupted file)");
+      return std::nullopt;
+    }
+    section.lines.reserve(count);
+    const char* const data = bytes.data();
+    for (std::size_t begin = 0; begin < bytes.size();) {
+      const auto* nl = static_cast<const char*>(
+          std::memchr(data + begin, '\n', bytes.size() - begin));
+      const auto end = static_cast<std::size_t>(nl - data);
+      section.lines.emplace_back(data + begin, end - begin);
+      begin = end + 1;
+    }
+    return section;
   }
   SetError(error, "checkpoint footer missing (truncated file?)");
   return std::nullopt;

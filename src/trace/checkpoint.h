@@ -24,6 +24,7 @@
 #include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace traceweaver {
@@ -55,12 +56,28 @@ class ChecksummedWriter {
   bool finished_ = false;
 };
 
-/// Reads and verifies a checksummed file produced by ChecksummedWriter.
-/// Returns the payload lines (header first) on success; nullopt with a
-/// human-readable reason in *error on truncation, footer mismatch, schema
-/// mismatch or CRC failure. Reading stops after the footer line, so
-/// sections written back to back into one file read one at a time.
-std::optional<std::vector<std::string>> ReadChecksummedLines(
+/// One verified section of a checksummed file: its payload bytes in one
+/// buffer and a view of each payload line (header first, newline
+/// excluded). Move-only, because the views point into `bytes`; a moved-to
+/// section keeps the same buffer, so its views stay valid.
+struct ChecksummedSection {
+  ChecksummedSection() = default;
+  ChecksummedSection(ChecksummedSection&&) = default;
+  ChecksummedSection& operator=(ChecksummedSection&&) = default;
+  ChecksummedSection(const ChecksummedSection&) = delete;
+  ChecksummedSection& operator=(const ChecksummedSection&) = delete;
+
+  std::vector<char> bytes;  ///< Payload lines, each ending in '\n'.
+  std::vector<std::string_view> lines;
+};
+
+/// Reads and verifies one section produced by ChecksummedWriter: one CRC
+/// over the section's payload bytes, checked against its footer. Returns
+/// the section on success; nullopt with a human-readable reason in *error
+/// on truncation, footer mismatch, schema mismatch or CRC failure.
+/// Reading stops after the footer line, so sections written back to back
+/// into one stream read one at a time.
+std::optional<ChecksummedSection> ReadChecksummedLines(
     std::istream& in, const std::string& schema, std::string* error);
 
 }  // namespace traceweaver

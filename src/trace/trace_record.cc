@@ -1,7 +1,6 @@
 #include "trace/trace_record.h"
 
 #include <cstdio>
-#include <limits>
 
 #include "trace/jsonl_io.h"
 #include "util/json.h"
@@ -19,40 +18,6 @@ void AppendBool(std::string& out, const char* key, bool v) {
   out += ",\"";
   out += key;
   out += v ? "\":true" : "\":false";
-}
-
-/// strtoull(s, &end, 10) bounded to `s`: leading whitespace, an optional
-/// sign (a '-' negates modulo 2^64), decimal digits, ULLONG_MAX on
-/// overflow. *consumed is 0 when no digit was read.
-std::uint64_t ParseStrtoull(std::string_view s, std::size_t* consumed) {
-  std::size_t pos = 0;
-  const auto is_space = [](char c) {
-    return c == ' ' || (c >= '\t' && c <= '\r');
-  };
-  while (pos < s.size() && is_space(s[pos])) ++pos;
-  bool negative = false;
-  if (pos < s.size() && (s[pos] == '+' || s[pos] == '-')) {
-    negative = s[pos] == '-';
-    ++pos;
-  }
-  const std::size_t digits = pos;
-  std::uint64_t value = 0;
-  bool overflow = false;
-  for (; pos < s.size() && s[pos] >= '0' && s[pos] <= '9'; ++pos) {
-    const auto digit = static_cast<std::uint64_t>(s[pos] - '0');
-    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
-      overflow = true;
-    } else {
-      value = value * 10 + digit;
-    }
-  }
-  if (pos == digits) {
-    *consumed = 0;
-    return 0;
-  }
-  *consumed = pos;
-  if (overflow) return std::numeric_limits<std::uint64_t>::max();
-  return negative ? 0 - value : value;
 }
 
 }  // namespace
@@ -82,17 +47,8 @@ std::string TraceRecordToJson(const TraceRecord& record) {
     if (i > 0) out += ',';
     out += SpanToJson(record.spans[i], /*include_ground_truth=*/true);
   }
-  out += "],\"parents\":[";
-  for (std::size_t i = 0; i < record.parents.size(); ++i) {
-    if (i > 0) out += ',';
-    out += '[';
-    out += std::to_string(static_cast<std::uint64_t>(record.parents[i].first));
-    out += ',';
-    out +=
-        std::to_string(static_cast<std::uint64_t>(record.parents[i].second));
-    out += ']';
-  }
-  out += ']';
+  out += "],\"parents\":";
+  json::AppendU64Pairs(out, record.parents);
   if (!record.provenance.empty()) {
     out += ",\"provenance\":[";
     for (std::size_t i = 0; i < record.provenance.size(); ++i) {
@@ -151,25 +107,11 @@ std::optional<TraceRecord> TraceRecordFromJson(std::string_view line) {
   // Parent edges: a flat [[child,parent],...] of unsigned decimals.
   const auto parents = fields.Find("parents");
   if (!parents) return std::nullopt;
-  const std::string_view p = *parents;
-  if (p.empty() || p[0] != '[') return std::nullopt;
-  std::size_t pos = 1;
-  while (pos < p.size() && p[pos] != ']') {
-    if (p[pos] == ',' || p[pos] == '[') {
-      ++pos;
-      continue;
-    }
-    std::size_t used = 0;
-    const SpanId child = ParseStrtoull(p.substr(pos), &used);
-    pos += used;
-    if (pos >= p.size() || p[pos] != ',') return std::nullopt;
-    const SpanId parent = ParseStrtoull(p.substr(pos + 1), &used);
-    pos += 1 + used;
-    if (pos >= p.size() || p[pos] != ']') return std::nullopt;
-    ++pos;
-    record.parents.emplace_back(child, parent);
+  json::U64PairWalker pairs(*parents);
+  while (pairs.Next()) {
+    record.parents.emplace_back(pairs.first(), pairs.second());
   }
-  if (pos >= p.size()) return std::nullopt;
+  if (!pairs.ok()) return std::nullopt;
 
   // Optional provenance block (absent on records committed without a
   // ledger and on every pre-provenance record).

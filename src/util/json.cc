@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace traceweaver::json {
 namespace {
@@ -142,6 +143,46 @@ constexpr auto kStrtodByte = [] {
   for (int c = 'a'; c <= 'z'; ++c) ok[c] = ok[c - 'a' + 'A'] = true;
   return ok;
 }();
+
+/// strtoull(s, &end, 10) bounded to `s`: leading whitespace, an optional
+/// sign (a '-' negates modulo 2^64), decimal digits, ULLONG_MAX on
+/// overflow. *consumed is 0 when no digit was read.
+std::uint64_t ParseStrtoull(std::string_view s, std::size_t* consumed) {
+  std::size_t pos = 0;
+  const auto is_space = [](char c) {
+    return c == ' ' || (c >= '\t' && c <= '\r');
+  };
+  while (pos < s.size() && is_space(s[pos])) ++pos;
+  bool negative = false;
+  if (pos < s.size() && (s[pos] == '+' || s[pos] == '-')) {
+    negative = s[pos] == '-';
+    ++pos;
+  }
+  const std::size_t digits = pos;
+  std::uint64_t value = 0;
+  bool overflow = false;
+  for (; pos < s.size() && s[pos] >= '0' && s[pos] <= '9'; ++pos) {
+    const auto digit = static_cast<std::uint64_t>(s[pos] - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      overflow = true;
+    } else {
+      value = value * 10 + digit;
+    }
+  }
+  if (pos == digits) {
+    *consumed = 0;
+    return 0;
+  }
+  *consumed = pos;
+  if (overflow) return std::numeric_limits<std::uint64_t>::max();
+  return negative ? 0 - value : value;
+}
+
+void AppendU64(std::string& out, std::uint64_t v) {
+  char buf[24];
+  const auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out.append(buf, end);
+}
 
 }  // namespace
 
@@ -325,7 +366,8 @@ std::optional<std::string_view> ValueOf(std::string_view text,
 }  // namespace
 
 Fields::Fields(std::string_view text) : text_(text) {
-  for (FieldWalker walker(text); walker.Next();) {
+  FieldWalker walker(text);
+  while (walker.Next()) {
     const std::string_view key = walker.key();
     const Field field{static_cast<std::size_t>(key.data() - text.data()),
                       key.size(), walker.value_pos()};
@@ -341,6 +383,7 @@ Fields::Fields(std::string_view text) : text_(text) {
     inline_[count_++] = field;
     index_[slot] = static_cast<std::uint8_t>(count_);
   }
+  closed_ = walker.depth() == 0;
 }
 
 std::size_t Fields::Slot(std::string_view key) {
@@ -451,6 +494,54 @@ bool ObjectArrayWalker::Next() {
     break;  // Unbalanced element.
   }
   done_ = true;  // Malformed element or no closing ']'.
+  return false;
+}
+
+void AppendU64Pairs(
+    std::string& out,
+    std::span<const std::pair<std::uint64_t, std::uint64_t>> pairs) {
+  out += '[';
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    if (i > 0) out += ',';
+    out += '[';
+    AppendU64(out, pairs[i].first);
+    out += ',';
+    AppendU64(out, pairs[i].second);
+    out += ']';
+  }
+  out += ']';
+}
+
+bool U64PairWalker::Next() {
+  if (done_) return false;
+  const std::string_view p = text_;
+  if (pos_ == 0) {
+    if (p.empty() || p[0] != '[') {
+      done_ = true;
+      return false;
+    }
+    pos_ = 1;
+  }
+  while (pos_ < p.size()) {
+    if (p[pos_] == ']') {
+      done_ = ok_ = true;
+      return false;
+    }
+    if (p[pos_] == ',' || p[pos_] == '[') {
+      ++pos_;
+      continue;
+    }
+    std::size_t used = 0;
+    first_ = ParseStrtoull(p.substr(pos_), &used);
+    pos_ += used;
+    if (pos_ >= p.size() || p[pos_] != ',') break;
+    second_ = ParseStrtoull(p.substr(pos_ + 1), &used);
+    pos_ += 1 + used;
+    if (pos_ >= p.size() || p[pos_] != ']') break;
+    ++pos_;
+    return true;
+  }
+  done_ = true;  // A malformed pair or no closing ']'.
   return false;
 }
 

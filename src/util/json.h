@@ -18,8 +18,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace traceweaver::json {
@@ -53,6 +55,9 @@ class FieldWalker {
   /// Offset of the value's first byte in the walked text.
   std::size_t value_pos() const { return value_pos_; }
 
+  /// Bracket depth reached so far (0 once a whole object was walked).
+  int depth() const { return depth_; }
+
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
@@ -81,6 +86,10 @@ class Fields {
   std::optional<std::string> Str(std::string_view key) const;
   bool True(std::string_view key) const;
 
+  /// True when the walk ended with every bracket it opened closed, i.e.
+  /// the line is one whole object (a cut line leaves one open).
+  bool closed() const { return closed_; }
+
  private:
   /// Offsets into text_; trivial, so the inline table costs no set-up.
   struct Field {
@@ -104,6 +113,7 @@ class Fields {
   /// 0 for an empty slot. Only a key's first occurrence is indexed.
   std::array<std::uint8_t, kSlots> index_{};
   std::vector<Field> spill_;
+  bool closed_ = false;
 };
 
 /// One-shot lookups: a walk that stops at the first `key`, then a decode.
@@ -137,6 +147,40 @@ class ObjectArrayWalker {
   bool done_ = false;
   bool ok_ = false;
   std::string_view element_;
+};
+
+/// Appends `[[a,b],[c,d],...]`: each pair as two unsigned decimals.
+void AppendU64Pairs(
+    std::string& out,
+    std::span<const std::pair<std::uint64_t, std::uint64_t>> pairs);
+
+/// Walks a JSON array of unsigned pairs, `[[a,b],[c,d],...]`, the one
+/// reader of pair arrays (trace-record parents, checkpoint commit runs).
+/// Its rules are lenient where the writers never go: commas and '['
+/// between pairs are skipped, and each number is read as strtoull would
+/// (leading whitespace, an optional sign, ULLONG_MAX on overflow, 0 when
+/// no digit is present). Each pair must then be `a,b]` exactly, and the
+/// array must start with '[' and end with ']'.
+class U64PairWalker {
+ public:
+  explicit U64PairWalker(std::string_view value) : text_(value) {}
+
+  /// Advances to the next pair; false at the closing ']' (ok() true) or
+  /// on malformed framing (ok() false).
+  bool Next();
+
+  std::uint64_t first() const { return first_; }
+  std::uint64_t second() const { return second_; }
+  /// True once the closing ']' was reached.
+  bool ok() const { return ok_; }
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+  bool done_ = false;
+  bool ok_ = false;
+  std::uint64_t first_ = 0;
+  std::uint64_t second_ = 0;
 };
 
 }  // namespace traceweaver::json

@@ -51,12 +51,40 @@ TEST(ChecksummedContainer, RoundTripPreservesLinesInOrder) {
   EXPECT_EQ(w.lines_written(), 3u);
 
   std::string error;
-  const auto lines = ReadChecksummedLines(file, "test.v1", &error);
-  ASSERT_TRUE(lines.has_value()) << error;
-  ASSERT_EQ(lines->size(), 3u);
-  EXPECT_EQ((*lines)[0], "{\"schema\":\"test.v1\"}");
-  EXPECT_EQ((*lines)[1], "{\"a\":1}");
-  EXPECT_EQ((*lines)[2], "{\"b\":\"two\"}");
+  const auto section = ReadChecksummedLines(file, "test.v1", &error);
+  ASSERT_TRUE(section.has_value()) << error;
+  ASSERT_EQ(section->lines.size(), 3u);
+  EXPECT_EQ(section->lines[0], "{\"schema\":\"test.v1\"}");
+  EXPECT_EQ(section->lines[1], "{\"a\":1}");
+  EXPECT_EQ(section->lines[2], "{\"b\":\"two\"}");
+}
+
+// The serve checkpoint is three sections in one stream: each read stops
+// at its own footer, so the next read starts at the next section.
+TEST(ChecksummedContainer, BackToBackSectionsReadOneAtATime) {
+  std::stringstream file;
+  const std::vector<std::vector<std::string>> sections = {
+      {"{\"schema\":\"a.v1\"}", "{\"x\":1}", "{\"x\":2}"},
+      {"{\"schema\":\"b.v1\"}"},
+      {"{\"schema\":\"c.v1\"}", "{\"y\":\"three\"}"}};
+  const char* const schemas[] = {"a.v1", "b.v1", "c.v1"};
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    ChecksummedWriter w(file, schemas[i]);
+    for (const std::string& line : sections[i]) w.WriteLine(line);
+    w.Finish();
+  }
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    std::string error;
+    auto section = ReadChecksummedLines(file, schemas[i], &error);
+    ASSERT_TRUE(section.has_value()) << i << ": " << error;
+    // The views survive a move of the section (they point into its
+    // buffer, which moves along).
+    const ChecksummedSection moved = std::move(*section);
+    EXPECT_EQ(std::vector<std::string>(moved.lines.begin(),
+                                       moved.lines.end()),
+              sections[i]);
+  }
+  EXPECT_EQ(file.peek(), std::char_traits<char>::eof());
 }
 
 std::string MakeContainer() {
@@ -289,33 +317,37 @@ TEST(OnlineCheckpoint, TruncatedFileRejectedWithStateUntouched) {
   EXPECT_EQ(post.str(), pre.str());
 }
 
-// A well-formed checkpoint of the previous schema (v1, which carried
-// write-only "posterior" records) is rejected by schema and leaves the
-// weaver alone, so `serve --resume` starts fresh from it.
-TEST(OnlineCheckpoint, V1CheckpointRejectedBySchemaWithStateUntouched) {
-  Stream s = MakeStream(100, 1);
-  OnlineTraceWeaver a(s.graph, MidStreamOptions());
-  for (const Span& span : s.spans) a.Ingest(span);
-  std::stringstream v2;
-  a.SaveCheckpoint(v2, {{"source_offset", 42u}});
+/// The payload lines of a checkpoint `weaver` writes now.
+std::vector<std::string> CheckpointLinesOf(const OnlineTraceWeaver& weaver) {
+  std::stringstream out;
+  weaver.SaveCheckpoint(out, {{"source_offset", 42u}});
   std::string error;
-  auto lines =
-      ReadChecksummedLines(v2, OnlineTraceWeaver::kCheckpointSchema, &error);
-  ASSERT_TRUE(lines.has_value()) << error;
+  const auto section =
+      ReadChecksummedLines(out, OnlineTraceWeaver::kCheckpointSchema, &error);
+  EXPECT_TRUE(section.has_value()) << error;
+  if (!section) return {};
+  return {section->lines.begin(), section->lines.end()};
+}
 
-  const std::string v1_schema = "traceweaver.checkpoint.v1";
-  std::string& header = (*lines)[0];
-  header.replace(header.find(OnlineTraceWeaver::kCheckpointSchema),
-                 std::string(OnlineTraceWeaver::kCheckpointSchema).size(),
-                 v1_schema);
-  lines->push_back(
-      "{\"ckpt\":\"posterior\",\"service\":\"frontend\",\"endpoint\":\"/x\","
-      "\"stage\":0,\"call\":0,\"count\":3,\"mean\":1.5,\"m2\":0.25}");
-  std::stringstream v1;
-  ChecksummedWriter writer(v1, v1_schema);
-  for (const std::string& line : *lines) writer.WriteLine(line);
+/// `lines` written as a checksummed section of `schema`, with the
+/// header's schema tag rewritten to match.
+std::string WriteAsSchema(std::vector<std::string> lines,
+                          const std::string& schema) {
+  std::string& header = lines.at(0);
+  const std::string current = OnlineTraceWeaver::kCheckpointSchema;
+  header.replace(header.find(current), current.size(), schema);
+  std::stringstream out;
+  ChecksummedWriter writer(out, schema);
+  for (const std::string& line : lines) writer.WriteLine(line);
   writer.Finish();
+  return out.str();
+}
 
+/// A weaver with in-flight state of its own rejects `bytes` with an
+/// error naming `reason`, and keeps every byte of that state.
+void ExpectRejectedWithStateUntouched(const Stream& s,
+                                      const std::string& bytes,
+                                      const std::string& reason) {
   OnlineTraceWeaver victim(s.graph, MidStreamOptions());
   for (std::size_t i = 0; i < s.spans.size() / 3; ++i) {
     victim.Ingest(s.spans[i]);
@@ -323,15 +355,168 @@ TEST(OnlineCheckpoint, V1CheckpointRejectedBySchemaWithStateUntouched) {
   std::stringstream pre;
   victim.SaveCheckpoint(pre);
 
+  std::stringstream in(bytes);
+  std::string error;
   std::map<std::string, std::uint64_t> extra;
-  EXPECT_FALSE(victim.LoadCheckpoint(v1, &error, &extra));
-  EXPECT_NE(error.find("schema mismatch"), std::string::npos) << error;
-  EXPECT_NE(error.find(v1_schema), std::string::npos) << error;
+  EXPECT_FALSE(victim.LoadCheckpoint(in, &error, &extra));
+  EXPECT_NE(error.find(reason), std::string::npos) << error;
   EXPECT_TRUE(extra.empty());
 
   std::stringstream post;
   victim.SaveCheckpoint(post);
   EXPECT_EQ(post.str(), pre.str());
+}
+
+/// A weaver mid-stream, with committed assignments.
+OnlineTraceWeaver MidStreamWeaver(const Stream& s) {
+  OnlineTraceWeaver a(s.graph, MidStreamOptions());
+  TimeNs watermark = 0;
+  for (const Span& span : s.spans) {
+    a.Ingest(span);
+    watermark = std::max(watermark, span.client_send);
+    a.Advance(watermark);
+  }
+  return a;
+}
+
+// A well-formed checkpoint of an earlier schema is rejected by schema and
+// leaves the weaver alone, so `serve --resume` starts fresh from it. v1
+// carried write-only "posterior" records.
+TEST(OnlineCheckpoint, V1CheckpointRejectedBySchemaWithStateUntouched) {
+  Stream s = MakeStream(100, 1);
+  std::vector<std::string> lines = CheckpointLinesOf(MidStreamWeaver(s));
+  ASSERT_FALSE(lines.empty());
+  lines.push_back(
+      "{\"ckpt\":\"posterior\",\"service\":\"frontend\",\"endpoint\":\"/x\","
+      "\"stage\":0,\"call\":0,\"count\":3,\"mean\":1.5,\"m2\":0.25}");
+  const std::string v1 = "traceweaver.checkpoint.v1";
+  ExpectRejectedWithStateUntouched(s, WriteAsSchema(lines, v1),
+                                   "schema mismatch: found " + v1);
+}
+
+// v2 wrote one `commit` line per assignment; its checkpoints are
+// rejected the same way.
+TEST(OnlineCheckpoint, V2CheckpointRejectedBySchemaWithStateUntouched) {
+  Stream s = MakeStream(100, 1);
+  const OnlineTraceWeaver a = MidStreamWeaver(s);
+  ASSERT_GT(a.assignment().size(), 0u);
+  std::vector<std::string> v2_lines;
+  for (const std::string& line : CheckpointLinesOf(a)) {
+    if (line.rfind("{\"ckpt\":\"commits\"", 0) != 0) {
+      v2_lines.push_back(line);
+      continue;
+    }
+    json::U64PairWalker pairs(*json::Fields(line).Find("pairs"));
+    while (pairs.Next()) {
+      v2_lines.push_back("{\"ckpt\":\"commit\",\"child\":" +
+                         std::to_string(pairs.first()) + ",\"parent\":" +
+                         std::to_string(pairs.second()) + "}");
+    }
+  }
+  ASSERT_GT(v2_lines.size(), a.assignment().size());
+  const std::string v2 = "traceweaver.checkpoint.v2";
+  ExpectRejectedWithStateUntouched(s, WriteAsSchema(v2_lines, v2),
+                                   "schema mismatch: found " + v2);
+}
+
+/// `{"ckpt":"commits","n":K,"pairs":[...]}` lines for `pairs`, split into
+/// runs of kCommitRun, spelled independently of the writer.
+std::vector<std::string> CommitRunLines(
+    const std::vector<std::pair<SpanId, SpanId>>& pairs) {
+  std::vector<std::string> lines;
+  const std::size_t run = OnlineTraceWeaver::kCommitRun;
+  for (std::size_t begin = 0; begin < pairs.size(); begin += run) {
+    const std::size_t end = std::min(pairs.size(), begin + run);
+    std::ostringstream line;
+    line << "{\"ckpt\":\"commits\",\"n\":" << end - begin << ",\"pairs\":[";
+    for (std::size_t i = begin; i < end; ++i) {
+      line << (i > begin ? "," : "") << '[' << pairs[i].first << ','
+           << pairs[i].second << ']';
+    }
+    line << "]}";
+    lines.push_back(line.str());
+  }
+  return lines;
+}
+
+/// An otherwise empty weaver checkpoint whose commit section is `runs`
+/// (commit records follow the header and the stats record).
+std::string CheckpointWithRuns(const CallGraph& graph,
+                               const std::vector<std::string>& runs) {
+  std::vector<std::string> lines =
+      CheckpointLinesOf(OnlineTraceWeaver(graph, MidStreamOptions()));
+  lines.insert(lines.begin() + 2, runs.begin(), runs.end());
+  return WriteAsSchema(lines, OnlineTraceWeaver::kCheckpointSchema);
+}
+
+// The assignment union round-trips at every run boundary: the runs
+// written are exactly the ones spelled here (full runs of kCommitRun,
+// then the remainder, sorted by child), and loading them restores every
+// pair.
+TEST(OnlineCheckpoint, CommitRunsRoundTripAtEveryRunBoundary) {
+  Stream s = MakeStream(20, 1);
+  std::mt19937_64 rng(11);
+  for (const std::size_t size : {0, 1, 1023, 1024, 1025, 3079}) {
+    std::map<SpanId, SpanId> unique;
+    unique[std::numeric_limits<SpanId>::max() - 1] = 0;
+    while (unique.size() < size) unique[rng()] = rng();
+    while (unique.size() > size) unique.erase(unique.begin());
+    const std::vector<std::pair<SpanId, SpanId>> pairs(unique.begin(),
+                                                       unique.end());
+    const std::vector<std::string> runs = CommitRunLines(pairs);
+    ASSERT_EQ(runs.size(), (size + OnlineTraceWeaver::kCommitRun - 1) /
+                               OnlineTraceWeaver::kCommitRun);
+    const std::string bytes = CheckpointWithRuns(s.graph, runs);
+
+    OnlineTraceWeaver restored(s.graph, MidStreamOptions());
+    std::stringstream in(bytes);
+    std::string error;
+    std::map<std::string, std::uint64_t> extra;
+    ASSERT_TRUE(restored.LoadCheckpoint(in, &error, &extra))
+        << size << ": " << error;
+    const ParentAssignment want(pairs.begin(), pairs.end());
+    EXPECT_EQ(restored.assignment(), want) << size;
+    std::stringstream again;
+    restored.SaveCheckpoint(again, extra);
+    EXPECT_EQ(again.str(), bytes) << size;
+  }
+}
+
+// A run's "n" must count its pairs exactly.
+TEST(OnlineCheckpoint, CommitRunWhoseCountDisagreesIsRejected) {
+  Stream s = MakeStream(100, 1);
+  const std::vector<std::pair<SpanId, SpanId>> pairs = {
+      {3, 1}, {4, 3}, {9, 3}, {12, 4}, {18446744073709551615ull, 9}};
+  std::string run = CommitRunLines(pairs).at(0);
+  for (const char* n : {"\"n\":4,", "\"n\":6,", "\"n\":0,", ""}) {
+    std::string bad = run;
+    bad.replace(bad.find("\"n\":5,"), 6, n);
+    ExpectRejectedWithStateUntouched(
+        s, CheckpointWithRuns(s.graph, {bad}), "commit run");
+  }
+  // The same run with the right count loads.
+  OnlineTraceWeaver ok(s.graph, MidStreamOptions());
+  std::stringstream in(CheckpointWithRuns(s.graph, {run}));
+  EXPECT_TRUE(ok.LoadCheckpoint(in));
+  EXPECT_EQ(ok.assignment().size(), pairs.size());
+}
+
+// A packed line cut at any byte -- CRC-valid, because the section is
+// re-checksummed around the cut line -- is rejected, never half-loaded.
+TEST(OnlineCheckpoint, CommitRunTruncatedAtEveryByteIsRejected) {
+  Stream s = MakeStream(100, 1);
+  const std::string run =
+      CommitRunLines({{3, 1}, {4, 3}, {1234567, 89}}).at(0);
+  for (std::size_t cut = 0; cut < run.size(); ++cut) {
+    ExpectRejectedWithStateUntouched(
+        s, CheckpointWithRuns(s.graph, {run.substr(0, cut)}),
+        "checkpoint record");
+    if (HasFailure()) {
+      ADD_FAILURE() << "accepted a cut at byte " << cut << ": "
+                    << run.substr(0, cut);
+      return;
+    }
+  }
 }
 
 // The ISSUE acceptance for skew correction in serve: a kill -9 between

@@ -5,7 +5,8 @@
 // folded one byte at a time and the call-graph parser trimmed through
 // string copies. The one-pass decoders must accept exactly the lines the
 // reference accepts and decode exactly the same values -- on generated
-// spans, trace records and checkpoint/committer lines with hostile names,
+// spans, trace records, pair arrays (record parents, checkpoint commit
+// runs) and checkpoint/committer lines with hostile names,
 // alternative escapes, duplicate/reordered/unknown keys, extra whitespace,
 // and truncation at every byte.
 #include <gtest/gtest.h>
@@ -288,6 +289,34 @@ bool SplitObjectArray(const std::string& line, std::size_t pos,
   return false;
 }
 
+/// The `[[child,parent],...]` loop of the previous record reader, on the
+/// value at `pos` (npos: absent).
+std::optional<std::vector<std::pair<SpanId, SpanId>>> ParsePairs(
+    const std::string& line, std::size_t pos) {
+  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
+    return std::nullopt;
+  }
+  std::vector<std::pair<SpanId, SpanId>> pairs;
+  ++pos;
+  while (pos < line.size() && line[pos] != ']') {
+    if (line[pos] == ',' || line[pos] == '[') {
+      ++pos;
+      continue;
+    }
+    char* after = nullptr;
+    const SpanId child = std::strtoull(line.c_str() + pos, &after, 10);
+    pos = static_cast<std::size_t>(after - line.c_str());
+    if (pos >= line.size() || line[pos] != ',') return std::nullopt;
+    const SpanId parent = std::strtoull(line.c_str() + pos + 1, &after, 10);
+    pos = static_cast<std::size_t>(after - line.c_str());
+    if (pos >= line.size() || line[pos] != ']') return std::nullopt;
+    ++pos;
+    pairs.emplace_back(child, parent);
+  }
+  if (pos >= line.size()) return std::nullopt;
+  return pairs;
+}
+
 std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   const std::size_t spans_pos = FindValue(line, "spans");
   if (spans_pos == std::string::npos) return std::nullopt;
@@ -327,27 +356,9 @@ std::optional<TraceRecord> TraceRecordFromJson(const std::string& line) {
   }
   if (record.spans.empty()) return std::nullopt;
 
-  std::size_t pos = FindValue(line, "parents");
-  if (pos == std::string::npos || pos >= line.size() || line[pos] != '[') {
-    return std::nullopt;
-  }
-  ++pos;
-  while (pos < line.size() && line[pos] != ']') {
-    if (line[pos] == ',' || line[pos] == '[') {
-      ++pos;
-      continue;
-    }
-    char* after = nullptr;
-    const SpanId child = std::strtoull(line.c_str() + pos, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ',') return std::nullopt;
-    const SpanId parent = std::strtoull(line.c_str() + pos + 1, &after, 10);
-    pos = static_cast<std::size_t>(after - line.c_str());
-    if (pos >= line.size() || line[pos] != ']') return std::nullopt;
-    ++pos;
-    record.parents.emplace_back(child, parent);
-  }
-  if (pos >= line.size()) return std::nullopt;
+  auto parents = ParsePairs(line, FindValue(line, "parents"));
+  if (!parents) return std::nullopt;
+  record.parents = std::move(*parents);
 
   const std::size_t prov_pos = FindValue(line, "provenance");
   if (prov_pos != std::string::npos) {
@@ -526,6 +537,7 @@ const std::vector<std::string>& AllKeys() {
       "offset_m2", "req_gaps", "resp_gaps", "started", "next_window_start",
       "high_watermark", "edges", "quality", "last_closed_end", "committed",
       "root", "tspans", "tparents", "skips", "footer", "lines", "crc32",
+      "n", "pairs",
       "considered", "kept_interesting", "kept_random", "last_shed_end",
       "absent", ""};
   return keys;
@@ -881,6 +893,59 @@ TEST(DecoderReference, TraceRecordsDecodeIdentically) {
   EXPECT_LT(accepted, 600);
 }
 
+/// json::U64PairWalker, the one pair-array reader (record parents and
+/// checkpoint commit runs), keeps the previous parents loop's rules.
+void ExpectSamePairs(const std::string& line) {
+  const std::size_t pos = ref::FindValue(line, "pairs");
+  const auto expected = ref::ParsePairs(line, pos);
+  std::vector<std::pair<SpanId, SpanId>> got;
+  bool ok = false;
+  if (pos != std::string::npos) {
+    json::U64PairWalker pairs(std::string_view(line).substr(pos));
+    while (pairs.Next()) got.emplace_back(pairs.first(), pairs.second());
+    ok = pairs.ok();
+  }
+  ASSERT_EQ(ok, expected.has_value()) << Show(line);
+  if (ok) {
+    ASSERT_EQ(got, *expected) << Show(line);
+  }
+}
+
+TEST(DecoderReference, PairArraysDecodeIdentically) {
+  std::mt19937_64 rng(19);
+  int accepted = 0;
+  for (int i = 0; i < 2000; ++i) {
+    std::string pairs = ParentsArray(rng, i % 2 == 1);
+    if (i % 100 == 0) {
+      // Runs as long as a full checkpoint commit run and then some.
+      pairs = "[";
+      const int n = 1000 + static_cast<int>(rng() % 100);
+      for (int k = 0; k < n; ++k) {
+        pairs += (k > 0 ? ",[" : "[") + std::to_string(rng()) + ',' +
+                 std::to_string(rng()) + ']';
+      }
+      pairs += ']';
+    }
+    // The value view runs to the end of the line, so what follows the
+    // array is part of the input.
+    static const char* const tails[] = {"}", ",\"n\":3}", "", " }", "]}"};
+    const std::string line =
+        "{\"ckpt\":\"commits\",\"pairs\":" + pairs + tails[rng() % 5];
+    ExpectSamePairs(line);
+    if (HasFatalFailure()) return;
+    accepted += ref::ParsePairs(line, ref::FindValue(line, "pairs"))
+                    .has_value();
+    if (i % 50 == 25) {  // Short arrays: every-byte damage stays cheap.
+      ForEachDamage(line, rng, [](const std::string& damaged) {
+        ExpectSamePairs(damaged);
+      });
+      if (HasFatalFailure()) return;
+    }
+  }
+  EXPECT_GT(accepted, 1000);
+  EXPECT_LT(accepted, 2000);
+}
+
 TEST(DecoderReference, ProvenanceEventsDecodeIdentically) {
   std::mt19937_64 rng(29);
   for (int i = 0; i < 2000; ++i) {
@@ -933,10 +998,11 @@ std::vector<std::string> CheckpointLines(std::string* bytes) {
   weaver.SaveCheckpoint(out, {{"source_offset", 77u}, {"x\"y", 5u}});
   *bytes = out.str();
   std::string error;
-  auto lines = ReadChecksummedLines(out, OnlineTraceWeaver::kCheckpointSchema,
-                                    &error);
-  EXPECT_TRUE(lines.has_value()) << error;
-  return lines.value_or(std::vector<std::string>{});
+  const auto section = ReadChecksummedLines(
+      out, OnlineTraceWeaver::kCheckpointSchema, &error);
+  EXPECT_TRUE(section.has_value()) << error;
+  if (!section) return {};
+  return {section->lines.begin(), section->lines.end()};
 }
 
 /// Committer-state lines in the committer's formats: header, span,
@@ -976,11 +1042,24 @@ TEST(DecoderReference, CheckpointAndCommitterLinesDecodeIdentically) {
   ASSERT_FALSE(lines.empty());
   // Every record type must be present, or this test checks less than it
   // claims.
-  for (const char* type : {"buffer", "commit", "stats", "skew", "prov",
+  for (const char* type : {"buffer", "commits", "stats", "skew", "prov",
                            "extra"}) {
     EXPECT_NE(bytes.find(std::string("\"ckpt\":\"") + type + "\""),
               std::string::npos)
         << type;
+  }
+  // A commit run carries up to kCommitRun pairs. Its first three pairs
+  // exercise the field scanners the same way at a length every-byte
+  // damage can afford (pair arrays have their own test above).
+  for (std::string& line : lines) {
+    if (line.rfind("{\"ckpt\":\"commits\"", 0) != 0) continue;
+    json::U64PairWalker pairs(*json::Fields(line).Find("pairs"));
+    std::string run = "{\"ckpt\":\"commits\",\"n\":3,\"pairs\":[";
+    for (int k = 0; k < 3 && pairs.Next(); ++k) {
+      run += (k > 0 ? ",[" : "[") + std::to_string(pairs.first()) + ',' +
+             std::to_string(pairs.second()) + ']';
+    }
+    line = run + "]}";
   }
   // The record types this stream leaves empty, in their writers' formats.
   std::string late = SpanToJson(Span{}, /*include_ground_truth=*/true);

@@ -87,7 +87,7 @@ int Usage() {
       "                       span-buffer budget; breach sheds oldest\n"
       "                       windows as orphans (0 = unbounded)\n"
       "  --checkpoint-dir=D   write CRC-guarded checkpoints to one file,\n"
-      "                       D/checkpoint.jsonl (schema v2; weaver,\n"
+      "                       D/checkpoint.jsonl (schema v3; weaver,\n"
       "                       committer and sampler sections; one\n"
       "                       tmp+rename per checkpoint)\n"
       "  --checkpoint-every=N spans between snapshots (default 2000)\n"
